@@ -26,7 +26,6 @@ def main() -> None:
         nargs="+",
         default=[round(0.1 * i, 1) for i in range(2, 11)],
     )
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     m = args.resolution * np.eye(2, dtype=int)
@@ -36,9 +35,7 @@ def main() -> None:
     for omega in args.omega:
         entry = build("graphene", omega=omega)
         start = time.perf_counter()
-        result = compute_spectrum(
-            parse(entry.expression), entry.operators, m, threads=args.threads
-        )
+        result = compute_spectrum(parse(entry.expression), entry.operators, m)
         elapsed = time.perf_counter() - start
         print(f"{omega:8.3f} {result.rho:12.8f} {elapsed:8.2f}")
         if result.rho < best[1]:

@@ -17,7 +17,7 @@ from .crystal import (
     lcm_lattice,
     sample_dual_torus,
 )
-from .expr import ExprSyntaxError, eval_position, eval_symbol, parse, render
+from .expr import ExprSyntaxError, eval_position, parse, render
 from .gallery import GalleryEntry, build, entry_names
 from .intlat import hnf, snf
 from .operator import (
@@ -39,11 +39,9 @@ from .oracle import assemble_dense, check_translation_invariance, eval_dense, wa
 from .symbol import (
     SpectrumRecord,
     SpectrumResult,
-    Symbol,
     compute_spectrum,
     pinv_matrix,
     symbol_at,
-    symbol_pinv,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +57,6 @@ __all__ = [
     "SpectrumRecord",
     "SpectrumResult",
     "StructureElement",
-    "Symbol",
     "add",
     "adjoint",
     "assemble_dense",
@@ -71,7 +68,6 @@ __all__ = [
     "entry_names",
     "eval_dense",
     "eval_position",
-    "eval_symbol",
     "hnf",
     "identity_operator",
     "lattice_coarsening",
@@ -87,7 +83,6 @@ __all__ = [
     "scale",
     "snf",
     "symbol_at",
-    "symbol_pinv",
     "triangular_splitting",
     "wave_basis",
 ]

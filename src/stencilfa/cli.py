@@ -418,7 +418,7 @@ def cmd_spectrum(args) -> int:
         )
     env = {name: bundle.operators[name] for name in sorted(ast.identifiers())}
     try:
-        result = compute_spectrum(ast, env, resolution, threads=args.threads)
+        result = compute_spectrum(ast, env, resolution)
     except ValueError as exc:
         message = str(exc)
         if "unbound identifier" in message or "bare" in message:
@@ -548,7 +548,7 @@ def cmd_verify(args) -> int:
         dense = dense_spectrum(assemble_dense(op, resolution))
         union: list[complex] = []
         for sample in sample_dual_torus(op.lattice, resolution):
-            union.extend(eigenvalues(symbol_at(op, sample).matrix))
+            union.extend(eigenvalues(symbol_at(op, sample)))
         checks.append(
             (f"symbol vs dense spectrum  {name}", spectrum_distance(union, dense), SPECTRUM_TOL)
         )
@@ -618,7 +618,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write a gnuplot script that plots the CSV",
     )
-    spectrum.add_argument("--threads", type=int, help="evaluate frequency samples in parallel")
     spectrum.set_defaults(func=cmd_spectrum)
 
     listing = sub.add_parser("list", help="list the built-in examples")

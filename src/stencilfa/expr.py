@@ -14,17 +14,19 @@ consisting of nothing but scalars is rejected.  'pinv', 'adj' and 'I' are
 reserved words.
 
 A bare `I` takes its size from context when the expression is evaluated: it
-passes through products, adjoints and pseudo-inverses as a scalar multiple of
-"the identity of whatever shape is needed" and materializes the moment it is
-added to (or subtracted from) a square matrix.  An expression that never
+passes through products, adjoints and pseudo-inverses as a plain complex
+scalar c, standing for "c times the identity of whatever shape is needed",
+and materializes the moment it is added to (or subtracted from) a square
+matrix or an operator with one structure element.  An expression that never
 provides a shape source at all (no identifier and no `I(name)`) is rejected
 at parse time, since no evaluation context could ever resolve it.
 
-Two evaluators share the tree.  The matrix evaluator works on any mapping
-from names to complex matrices (symbol matrices or dense torus matrices) and
-supports pinv.  The position evaluator builds an actual multiplication
-operator out of the calculus in the operator module; pseudo-inverses have no
-position-space counterpart, so their presence is an error there.
+One walker evaluates the tree over either of two small algebras.  The matrix
+algebra works on any mapping from names to complex matrices (symbol matrices
+or dense torus matrices) and supports pinv; Expression.eval_matrices uses it.
+The operator algebra builds an actual multiplication operator out of the
+calculus in the operator module; pseudo-inverses have no position-space
+counterpart, so eval_position rejects any expression that contains one.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .operator import (
     mul as op_mul,
     scale as op_scale,
 )
-from .symbol import pinv_matrix, symbol_at
+from .symbol import pinv_matrix
 
 
 class ExprSyntaxError(ValueError):
@@ -128,7 +130,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -249,28 +250,14 @@ class _Parser:
         self.fail(["identifier", "'I'", "'pinv'", "'adj'", "'('", "number"])
 
 
-def _has_shape_source(node) -> bool:
-    if isinstance(node, Ident):
-        return True
-    if isinstance(node, Identity):
-        return node.name is not None
+def _nodes(node):
+    """Every node of the tree, parents before children."""
+    yield node
     if isinstance(node, (Add, Sub, Mul)):
-        return _has_shape_source(node.left) or _has_shape_source(node.right)
-    if isinstance(node, (Neg, ScalarMul, Adjoint, Pinv)):
-        return _has_shape_source(node.child)
-    return False
-
-
-def identifiers(node) -> set[str]:
-    if isinstance(node, Ident):
-        return {node.name}
-    if isinstance(node, Identity):
-        return set() if node.name is None else {node.name}
-    if isinstance(node, (Add, Sub, Mul)):
-        return identifiers(node.left) | identifiers(node.right)
-    if isinstance(node, (Neg, ScalarMul, Adjoint, Pinv)):
-        return identifiers(node.child)
-    return set()
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
+    elif isinstance(node, (Neg, ScalarMul, Adjoint, Pinv)):
+        yield from _nodes(node.child)
 
 
 @dataclass(frozen=True)
@@ -282,32 +269,26 @@ class Expression:
 
     def eval_matrices(self, env) -> np.ndarray:
         """Evaluate with names bound to complex matrices (symbols or dense)."""
-        value = _eval_mat(self.ast, env)
-        if isinstance(value, _IdentityVal):
-            raise ValueError("expression reduces to a bare identity with no shape context")
-        return value
-
-    def eval_position(self, env) -> MultiplicationOperator:
-        """Evaluate with names bound to operators, staying in position space."""
-        value = _eval_pos(self.ast, env)
-        if isinstance(value, complex):
-            raise ValueError("expression reduces to a bare identity with no shape context")
-        return value
+        return _shaped(_walk(self.ast, env, _Matrices()))
 
     def identifiers(self) -> set[str]:
-        return identifiers(self.ast)
+        return {
+            node.name
+            for node in _nodes(self.ast)
+            if isinstance(node, (Ident, Identity)) and node.name is not None
+        }
 
     def __str__(self) -> str:
         return self.text
 
 
 def parse(text: str) -> Expression:
-    node = _Parser(text).parse()
-    if not _has_shape_source(node):
+    expr = Expression(ast=_Parser(text).parse(), text=text)
+    if not expr.identifiers():
         raise ValueError(
             "expression contains no operator identifier; a bare I cannot be sized (use I(name))"
         )
-    return Expression(ast=node, text=text)
+    return expr
 
 
 def render(node) -> str:
@@ -352,20 +333,10 @@ def _render(node, prec: int) -> str:
         text = f"{_fmt_scalar(node.scalar)}*{_render(node.child, 3)}"
         return f"({text})" if prec > 2 else text
     if isinstance(node, Neg):
-        inner = _render(node.child, 4)
         if isinstance(node.child, (Ident, Identity, Pinv, Adjoint)):
-            return f"-{inner}"
+            return f"-{_render(node.child, 4)}"
         return f"-({_render(node.child, 0)})"
     raise TypeError(f"not an expression node: {node!r}")
-
-
-class _IdentityVal:
-    """Scalar multiple of a contextually sized identity matrix."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: complex):
-        self.c = c
 
 
 def _lookup(env, name: str):
@@ -375,136 +346,125 @@ def _lookup(env, name: str):
         raise ValueError(f"unbound identifier '{name}'") from None
 
 
-def _materialize(val: _IdentityVal, like: np.ndarray, what: str) -> np.ndarray:
-    if like.shape[0] != like.shape[1]:
-        raise ValueError(f"bare I cannot be {what} a non-square matrix of shape {like.shape}")
-    return val.c * np.eye(like.shape[0], dtype=complex)
+class _Matrices:
+    """Complex matrices: symbol matrices or dense torus matrices."""
 
+    def leaf(self, value):
+        return np.asarray(value, dtype=complex)
 
-def _eval_mat(node, env):
-    if isinstance(node, Ident):
-        return np.asarray(_lookup(env, node.name), dtype=complex)
-    if isinstance(node, Identity):
-        if node.name is None:
-            return _IdentityVal(complex(1))
-        ref = np.asarray(_lookup(env, node.name))
-        return np.eye(ref.shape[1], dtype=complex)
-    if isinstance(node, (Add, Sub)):
-        a = _eval_mat(node.left, env)
-        b = _eval_mat(node.right, env)
-        samesign = isinstance(node, Add)
-        if isinstance(a, _IdentityVal) and isinstance(b, _IdentityVal):
-            return _IdentityVal(a.c + b.c if samesign else a.c - b.c)
-        if isinstance(a, _IdentityVal):
-            a = _materialize(a, b, "added to")
-        elif isinstance(b, _IdentityVal):
-            b = _materialize(b, a, "added to")
+    def identity(self, ref):
+        return np.eye(np.asarray(ref).shape[1], dtype=complex)
+
+    def eye_like(self, c: complex, like):
+        if like.shape[0] != like.shape[1]:
+            raise ValueError(f"bare I cannot be added to a non-square matrix of shape {like.shape}")
+        return c * np.eye(like.shape[0], dtype=complex)
+
+    def add(self, a, b, sign: int):
         if a.shape != b.shape:
-            raise ValueError(f"shape mismatch in '{'+' if samesign else '-'}': {a.shape} vs {b.shape}")
-        return a + b if samesign else a - b
-    if isinstance(node, Mul):
-        a = _eval_mat(node.left, env)
-        b = _eval_mat(node.right, env)
-        if isinstance(a, _IdentityVal) and isinstance(b, _IdentityVal):
-            return _IdentityVal(a.c * b.c)
-        if isinstance(a, _IdentityVal):
-            return a.c * b
-        if isinstance(b, _IdentityVal):
-            return b.c * a
+            raise ValueError(f"shape mismatch in '{'+' if sign > 0 else '-'}': {a.shape} vs {b.shape}")
+        return a + b if sign > 0 else a - b
+
+    def mul(self, a, b):
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch in '*': {a.shape} times {b.shape}")
         return a @ b
-    if isinstance(node, Neg):
-        val = _eval_mat(node.child, env)
-        return _IdentityVal(-val.c) if isinstance(val, _IdentityVal) else -val
-    if isinstance(node, ScalarMul):
-        val = _eval_mat(node.child, env)
-        return _IdentityVal(node.scalar * val.c) if isinstance(val, _IdentityVal) else node.scalar * val
-    if isinstance(node, Adjoint):
-        val = _eval_mat(node.child, env)
-        return _IdentityVal(val.c.conjugate()) if isinstance(val, _IdentityVal) else val.conj().T
-    if isinstance(node, Pinv):
-        val = _eval_mat(node.child, env)
-        if isinstance(val, _IdentityVal):
-            return _IdentityVal(1 / val.c if val.c != 0 else complex(0))
-        return pinv_matrix(val)
-    raise TypeError(f"not an expression node: {node!r}")
+
+    def scale(self, c: complex, a):
+        return c * a
+
+    def neg(self, a):
+        return -a
+
+    def adjoint(self, a):
+        return a.conj().T
+
+    def pinv(self, a):
+        # looked up at call time, so a rebinding of the module global is seen
+        return pinv_matrix(a)
 
 
-def eval_symbol(expr, env, k) -> np.ndarray:
-    """Evaluate an expression over the symbols of pre-compatible operators at k."""
-    ast = expr.ast if isinstance(expr, Expression) else expr
-    mats = {name: symbol_at(op, k).matrix for name, op in env.items()}
-    value = _eval_mat(ast, mats)
-    if isinstance(value, _IdentityVal):
-        raise ValueError("expression reduces to a bare identity with no shape context")
-    return value
+class _Operators:
+    """Multiplication operators, built with the position-space calculus."""
 
+    def leaf(self, value):
+        return value
 
-def _contains_pinv(node) -> bool:
-    if isinstance(node, Pinv):
-        return True
-    if isinstance(node, (Add, Sub, Mul)):
-        return _contains_pinv(node.left) or _contains_pinv(node.right)
-    if isinstance(node, (Neg, ScalarMul, Adjoint)):
-        return _contains_pinv(node.child)
-    return False
-
-
-def _ident_on(op: MultiplicationOperator, c: complex) -> MultiplicationOperator:
-    if op.domain_se != op.codomain_se:
-        raise ValueError("bare I cannot be added to an operator with distinct structure elements")
-    return op_scale(c, identity_operator(op.lattice, op.domain_se))
-
-
-def _eval_pos(node, env):
-    if isinstance(node, Ident):
-        return _lookup(env, node.name)
-    if isinstance(node, Identity):
-        if node.name is None:
-            return complex(1)
-        ref = _lookup(env, node.name)
+    def identity(self, ref):
         return identity_operator(ref.lattice, ref.domain_se)
-    if isinstance(node, (Add, Sub)):
-        a = _eval_pos(node.left, env)
-        b = _eval_pos(node.right, env)
-        samesign = isinstance(node, Add)
-        if isinstance(a, complex) and isinstance(b, complex):
-            return a + b if samesign else a - b
-        if isinstance(a, complex):
-            a = _ident_on(b, a)
-        elif isinstance(b, complex):
-            b = _ident_on(a, b)
-        return op_add(a, b if samesign else op_scale(-1, b))
-    if isinstance(node, Mul):
-        a = _eval_pos(node.left, env)
-        b = _eval_pos(node.right, env)
-        if isinstance(a, complex) and isinstance(b, complex):
-            return a * b
-        if isinstance(a, complex):
-            return op_scale(a, b)
-        if isinstance(b, complex):
-            return op_scale(b, a)
+
+    def eye_like(self, c: complex, like):
+        if like.domain_se != like.codomain_se:
+            raise ValueError("bare I cannot be added to an operator with distinct structure elements")
+        return op_scale(c, self.identity(like))
+
+    def add(self, a, b, sign: int):
+        return op_add(a, b if sign > 0 else self.neg(b))
+
+    def mul(self, a, b):
         return op_mul(a, b)
+
+    def scale(self, c: complex, a):
+        return op_scale(c, a)
+
+    def neg(self, a):
+        return op_scale(-1, a)
+
+    def adjoint(self, a):
+        return op_adjoint(a)
+
+
+def _walk(node, env, alg):
+    """Evaluate a tree in the algebra alg; a bare I is a plain complex scalar."""
+    if isinstance(node, Ident):
+        return alg.leaf(_lookup(env, node.name))
+    if isinstance(node, Identity):
+        return complex(1) if node.name is None else alg.identity(_lookup(env, node.name))
+    if isinstance(node, (Add, Sub)):
+        a = _walk(node.left, env, alg)
+        b = _walk(node.right, env, alg)
+        sign = 1 if isinstance(node, Add) else -1
+        if isinstance(a, complex):
+            if isinstance(b, complex):
+                return a + b if sign > 0 else a - b
+            a = alg.eye_like(a, b)
+        elif isinstance(b, complex):
+            b = alg.eye_like(b, a)
+        return alg.add(a, b, sign)
+    if isinstance(node, Mul):
+        a = _walk(node.left, env, alg)
+        b = _walk(node.right, env, alg)
+        if isinstance(a, complex):
+            return a * b if isinstance(b, complex) else alg.scale(a, b)
+        if isinstance(b, complex):
+            return alg.scale(b, a)
+        return alg.mul(a, b)
     if isinstance(node, Neg):
-        val = _eval_pos(node.child, env)
-        return -val if isinstance(val, complex) else op_scale(-1, val)
+        val = _walk(node.child, env, alg)
+        return -val if isinstance(val, complex) else alg.neg(val)
     if isinstance(node, ScalarMul):
-        val = _eval_pos(node.child, env)
-        return node.scalar * val if isinstance(val, complex) else op_scale(node.scalar, val)
+        val = _walk(node.child, env, alg)
+        return node.scalar * val if isinstance(val, complex) else alg.scale(node.scalar, val)
     if isinstance(node, Adjoint):
-        val = _eval_pos(node.child, env)
-        return val.conjugate() if isinstance(val, complex) else op_adjoint(val)
+        val = _walk(node.child, env, alg)
+        return val.conjugate() if isinstance(val, complex) else alg.adjoint(val)
     if isinstance(node, Pinv):
-        raise ValueError("pseudo-inverse not available in position space")
+        val = _walk(node.child, env, alg)
+        if isinstance(val, complex):
+            return 1 / val if val != 0 else complex(0)
+        return alg.pinv(val)
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_position(expr, env) -> MultiplicationOperator:
-    ast = expr.ast if isinstance(expr, Expression) else expr
-    if _contains_pinv(ast):
-        raise ValueError("pseudo-inverse not available in position space")
-    value = _eval_pos(ast, env)
+def _shaped(value):
     if isinstance(value, complex):
         raise ValueError("expression reduces to a bare identity with no shape context")
     return value
+
+
+def eval_position(expr, env) -> MultiplicationOperator:
+    """Evaluate with names bound to operators, staying in position space."""
+    ast = expr.ast if isinstance(expr, Expression) else expr
+    if any(isinstance(node, Pinv) for node in _nodes(ast)):
+        raise ValueError("pseudo-inverse not available in position space")
+    return _shaped(_walk(ast, env, _Operators()))

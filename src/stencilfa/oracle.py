@@ -44,10 +44,6 @@ def _torus_quotient(a: Lattice, m) -> QuotientMap:
     return QuotientMap(a, z)
 
 
-def _torus_map(l: MultiplicationOperator, m) -> QuotientMap:
-    return _torus_quotient(l.lattice, m)
-
-
 def assemble_dense(l: MultiplicationOperator, m) -> DenseTorusOperator:
     """Dense matrix of L on the torus with Z = A*M.
 
@@ -55,7 +51,7 @@ def assemble_dense(l: MultiplicationOperator, m) -> DenseTorusOperator:
     point i to torus point j modulo L(Z); periodic wrap-around merges offsets
     that become equivalent on the finite torus.
     """
-    qm = _torus_map(l, m)
+    qm = _torus_quotient(l.lattice, m)
     n_pts = len(qm.reps)
     mc, md = l.shape
     out = np.zeros((n_pts * mc, n_pts * md), dtype=complex)

@@ -17,27 +17,19 @@ matter how the lattice basis is conditioned.
 compute_spectrum implements the full sampling pipeline: rewrite all operators
 on their coarsest common sublattice, sample the dual torus for Z = C*M,
 evaluate the expression on the symbol matrices at every sample, and collect
-eigenvalues.  The per-sample loop is embarrassingly parallel; results are
-sorted by k_frac so the outcome does not depend on evaluation order.
+eigenvalues.  Results are sorted by k_frac.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, pi
 
 import numpy as np
 
-from .crystal import DualSample, Lattice, dual_basis, sample_dual_torus
+from .crystal import DualSample, Lattice, sample_dual_torus
 from .operator import MultiplicationOperator, make_compatible
-
-
-@dataclass(frozen=True)
-class Symbol:
-    k: DualSample
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,23 +48,18 @@ class SpectrumResult:
     expression: str
 
 
-def symbol_at(l: MultiplicationOperator, k) -> Symbol:
-    """Evaluate the symbol of l at a frequency sample.
+def symbol_at(l: MultiplicationOperator, k) -> np.ndarray:
+    """The symbol matrix of l at a frequency sample.
 
-    k is either a DualSample or a bare sequence of fractional coordinates,
-    in which case the physical wave vector is derived from the operator's
-    own dual basis.
+    k is either a DualSample or a bare sequence of fractional coordinates.
     """
-    if not isinstance(k, DualSample):
-        frac = tuple(Fraction(f) for f in k)
-        phys = dual_basis(l.lattice).basis @ np.array([float(f) for f in frac])
-        k = DualSample(k_frac=frac, k_phys=tuple(float(x) for x in phys))
+    k_frac = k.k_frac if isinstance(k, DualSample) else tuple(Fraction(f) for f in k)
     mat = np.zeros(l.shape, dtype=complex)
     for off, m in l.multipliers.items():
-        t = sum(f * o for f, o in zip(k.k_frac, off))
+        t = sum(f * o for f, o in zip(k_frac, off))
         t = t - floor(t)
         mat = mat + m * np.exp(2j * pi * float(t))
-    return Symbol(k=k, matrix=mat)
+    return mat
 
 
 #: Spectral norms at or below this level are treated as "the zero matrix" by
@@ -112,10 +99,6 @@ def pinv_matrix(
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def symbol_pinv(s: Symbol, rank_tol: float | None = None) -> Symbol:
-    return Symbol(k=s.k, matrix=pinv_matrix(s.matrix, rank_tol))
-
-
 def eigenvalues(mtx) -> list[complex]:
     arr = np.asarray(mtx, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -128,7 +111,7 @@ def _frac_text(k_frac) -> str:
 
 
 def _record_for(expr, named, sample: DualSample) -> SpectrumRecord:
-    env = {name: symbol_at(op, sample).matrix for name, op in named.items()}
+    env = {name: symbol_at(op, sample) for name, op in named.items()}
     try:
         value = expr.eval_matrices(env)
     except ValueError as exc:
@@ -141,7 +124,7 @@ def _record_for(expr, named, sample: DualSample) -> SpectrumRecord:
     return SpectrumRecord(k_frac=sample.k_frac, k_phys=sample.k_phys, eigenvalues=tuple(eigs))
 
 
-def compute_spectrum(expr, env, m, threads: int | None = None) -> SpectrumResult:
+def compute_spectrum(expr, env, m) -> SpectrumResult:
     """Sample the spectrum of an operator expression over the dual torus.
 
     expr is a parsed expression (anything with eval_matrices(name->matrix)),
@@ -156,11 +139,7 @@ def compute_spectrum(expr, env, m, threads: int | None = None) -> SpectrumResult
     named = dict(zip(names, compatible))
     lattice = compatible[0].lattice
     samples = sample_dual_torus(lattice, m)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda s: _record_for(expr, named, s), samples))
-    else:
-        records = [_record_for(expr, named, s) for s in samples]
+    records = [_record_for(expr, named, s) for s in samples]
     records.sort(key=lambda r: r.k_frac)
     rho = 0.0
     for rec in records:

@@ -139,13 +139,13 @@ def test_spectrum_matrix_resolution(capsys):
     assert len(out.strip().splitlines()) == 1 + 20 + 1
 
 
-def test_spectrum_output_byte_stable_across_threads(tmp_path, capsys):
+def test_spectrum_output_byte_stable_across_runs(tmp_path, capsys):
     paths = []
-    for threads in ("1", "3"):
-        path = tmp_path / f"t{threads}.csv"
+    for attempt in ("1", "2"):
+        path = tmp_path / f"run{attempt}.csv"
         code, _, _ = run(
             capsys, "spectrum", "--example", "graphene", "--resolution", "5",
-            "--output", str(path), "--threads", threads,
+            "--output", str(path),
         )
         assert code == 0
         paths.append(path)

@@ -12,6 +12,7 @@ from stencilfa.expr import (
     Add,
     Adjoint,
     ExprSyntaxError,
+    Expression,
     Ident,
     Identity,
     Mul,
@@ -20,7 +21,6 @@ from stencilfa.expr import (
     ScalarMul,
     Sub,
     eval_position,
-    eval_symbol,
     parse,
     render,
 )
@@ -261,6 +261,14 @@ def test_eval_bare_identity_never_sized():
         parse("I + R").eval_matrices(env)
 
 
+def test_eval_bare_identity_through_pinv_and_adjoint():
+    env = _env2()
+    a = env["A"]
+    assert np.allclose(parse("pinv(2*I)*A").eval_matrices(env), 0.5 * a, atol=1e-14)
+    assert np.array_equal(parse("pinv(0*I)*A").eval_matrices(env), np.zeros((2, 2)))
+    assert np.allclose(parse("adj(2i*I)*A").eval_matrices(env), -2j * a, atol=1e-14)
+
+
 # ------------------------------------------------------- position evaluation
 
 
@@ -327,6 +335,13 @@ def test_position_pinv_rejected():
     l, _ = _operators()
     with pytest.raises(ValueError, match="position space"):
         eval_position(parse("pinv(L)"), {"L": l})
+
+
+def test_position_bare_identity_needs_one_structure_element():
+    _, r = _operators()
+    assert r.domain_se != r.codomain_se
+    with pytest.raises(ValueError, match="bare"):
+        eval_position(parse("I + R"), {"R": r})
 
 
 def test_position_unbound():
@@ -400,8 +415,10 @@ def test_position_route_matches_symbol_route(ast, seed):
     pos = eval_position(ast, env)
     num = rng.integers(0, 7, size=2)
     k = (Fraction(int(num[0]), 7), Fraction(int(num[1]), 7))
-    via_position = symbol_at(pos, k).matrix
-    via_symbols = eval_symbol(ast, env, k)
+    via_position = symbol_at(pos, k)
+    via_symbols = Expression(ast, render(ast)).eval_matrices(
+        {name: symbol_at(op, k) for name, op in env.items()}
+    )
     assert np.allclose(via_position, via_symbols, atol=1e-12)
 
 

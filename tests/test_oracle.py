@@ -104,7 +104,7 @@ def test_dense_spectrum_matches_symbol_union():
     sym_evs = [
         ev
         for s in sample_dual_torus(l.lattice, m)
-        for ev in np.linalg.eigvals(symbol_at(l, s).matrix)
+        for ev in np.linalg.eigvals(symbol_at(l, s))
     ]
     assert pair_eigenvalues(dense_evs, sym_evs) < 1e-8
 

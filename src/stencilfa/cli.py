@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .crystal import Lattice, StructureElement, sample_dual_torus
-from .expr import ExprSyntaxError, parse
+from .expr import parse
 from .gallery import build, entry_names
+from .intlat import det_exact
 from .operator import MultiplicationOperator
 from .oracle import (
     assemble_dense,
@@ -186,10 +187,9 @@ def _resolution_matrix(value, dim: int, where: str) -> np.ndarray:
             for r in value
         )
     ):
-        m = np.array(value, dtype=int)
-        if round(abs(np.linalg.det(m))) == 0:
+        if det_exact(value) == 0:
             raise SchemaError(f"{where}: resolution matrix is singular")
-        return m
+        return np.array(value, dtype=int)
     raise SchemaError(f"{where}: expected an integer or a {dim}x{dim} integer matrix")
 
 
@@ -283,7 +283,7 @@ def bundle_to_json(bundle: Bundle, operators: dict[str, MultiplicationOperator])
     if bundle.expr is not None:
         try:
             keep = parse(bundle.expr).identifiers() <= set(operators)
-        except ExprSyntaxError:
+        except ValueError:
             keep = True
         if keep:
             payload["expr"] = bundle.expr
@@ -409,7 +409,7 @@ def cmd_spectrum(args) -> int:
 
     try:
         ast = parse(expr_text)
-    except ExprSyntaxError as exc:
+    except ValueError as exc:
         raise ExpressionError(f"bad expression: {exc}") from None
     missing = sorted(ast.identifiers() - set(bundle.operators))
     if missing:
@@ -648,9 +648,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ExprSyntaxError as exc:
-        print(f"error: bad expression: {exc}", file=sys.stderr)
-        return EXIT_EXPRESSION
 
 
 if __name__ == "__main__":

@@ -12,17 +12,19 @@ to the lattice basis, kept as ``Fraction``s.  The order is significant: block
 operators act on value tuples indexed by it.
 
 Torus representatives follow a fixed canonical listing: with H the Hermite
-normal form of the relation, the representative with counter i-1 has the
-mixed-radix digits of i-1 with respect to (H_11, ..., H_nn), the first basis
-direction varying fastest.  Dual-torus samples reuse that listing on the dual
-relation M^T and are reduced into [0,1)^n exactly.
+normal form of the integer relation, the representative with counter i-1 has
+the mixed-radix digits of i-1 with respect to (H_11, ..., H_nn), the first
+basis direction varying fastest.  Dual-torus samples reuse that listing on the
+dual relation M^T; their coordinates are integer numerators over |det M|,
+turned into exact ``Fraction``s in [0,1)^n only for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm, prod
+from itertools import product
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -54,13 +56,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def point(self, coords) -> np.ndarray:
-        """Physical position of fractional/integer coordinates w.r.t. the basis."""
-        return self.basis @ np.array([float(c) for c in coords])
-
-    def scaled(self, factor: float) -> "Lattice":
-        return Lattice(self.basis * factor)
 
     def __repr__(self) -> str:
         rows = "; ".join(" ".join(f"{x:.6g}" for x in row) for row in self.basis)
@@ -113,12 +108,6 @@ class StructureElement:
 
 
 @dataclass(frozen=True)
-class Crystal:
-    lattice: Lattice
-    se: StructureElement
-
-
-@dataclass(frozen=True)
 class DualSample:
     """One sampled wave vector: exact fractional plus physical coordinates."""
 
@@ -159,19 +148,40 @@ def integral_relation(a: Lattice, c: Lattice) -> list[list[int]]:
     return [[int(x) for x in row] for row in rel]
 
 
-def _quotient_listing(h: list[list[int]]) -> list[tuple[int, ...]]:
-    n = len(h)
-    diag = [int(h[l][l]) for l in range(n)]
-    count = prod(diag)
-    out = []
-    for i in range(count):
-        k = i
-        digits = []
-        for l in range(n):
-            digits.append(k % diag[l])
-            k //= diag[l]
-        out.append(tuple(digits))
-    return out
+class QuotientMap:
+    """Exact residue arithmetic for Z^n / rel*Z^n, rel a nonsingular integer matrix.
+
+    ``reps`` is the canonical listing of the |det rel| residue classes;
+    ``locate`` decomposes any integer vector x as reps[k] + rel*z.
+    """
+
+    def __init__(self, rel):
+        res = hnf(rel)
+        self.h, self.u = res.H, res.U  # H = rel*U, U unimodular
+        self.n = len(self.h)
+        # mixed-radix counter over diag(H), first coordinate fastest
+        radices = [range(self.h[l][l]) for l in reversed(range(self.n))]
+        self.reps = [digits[::-1] for digits in product(*radices)]
+        self.index = {r: k for k, r in enumerate(self.reps)}
+
+    def _reduce(self, x) -> tuple[tuple[int, ...], list[int]]:
+        # x = r + H*q with r inside the box [0, H_11) x ... x [0, H_nn)
+        r = list(x)
+        q = [0] * self.n
+        for col in range(self.n - 1, -1, -1):
+            q[col] = r[col] // self.h[col][col]
+            for row in range(col + 1):
+                r[row] -= q[col] * self.h[row][col]
+        return tuple(r), q
+
+    def residue(self, x) -> tuple[int, ...]:
+        return self._reduce(x)[0]
+
+    def locate(self, x) -> tuple[int, tuple[int, ...]]:
+        """Index k and integer z such that x = reps[k] + rel*z (z = U*q)."""
+        rep, q = self._reduce(x)
+        z = tuple(sum(u * c for u, c in zip(row, q)) for row in self.u)
+        return self.index[rep], z
 
 
 def elements_in_quotient(a: Lattice, c: Lattice) -> StructureElement:
@@ -180,47 +190,7 @@ def elements_in_quotient(a: Lattice, c: Lattice) -> StructureElement:
     The listing is the mixed-radix counter over the diagonal of hnf(A^-1 C),
     first coordinate fastest, so it is reproducible across runs.
     """
-    rel = integral_relation(a, c)
-    h = hnf(rel).H
-    return StructureElement(_quotient_listing(h))
-
-
-class QuotientMap:
-    """Exact residue arithmetic for L(A)/L(C), everything in A-coordinates.
-
-    ``reps`` is the canonical listing (same order as elements_in_quotient);
-    ``locate`` decomposes any integer vector x as rep_k + rel*z with z the
-    integer sublattice offset.
-    """
-
-    def __init__(self, a: Lattice, c: Lattice):
-        self.rel = integral_relation(a, c)
-        self.n = len(self.rel)
-        self.h = hnf(self.rel).H
-        self.rel_inv = mat_inv(self.rel)
-        self.reps = _quotient_listing(self.h)
-        self.index = {r: q for q, r in enumerate(self.reps)}
-
-    def residue(self, x) -> tuple[int, ...]:
-        r = list(x)
-        for col in range(self.n - 1, -1, -1):
-            q = r[col] // self.h[col][col]
-            for row in range(col + 1):
-                r[row] -= q * self.h[row][col]
-        return tuple(r)
-
-    def locate(self, x) -> tuple[int, tuple[int, ...]]:
-        """Index k and integer z such that x = reps[k] + rel*z."""
-        rep = self.residue(x)
-        k = self.index[rep]
-        d = [x[i] - rep[i] for i in range(self.n)]
-        z = []
-        for r in range(self.n):
-            val = Fraction(sum(self.rel_inv[r][c] * d[c] for c in range(self.n)))
-            if val.denominator != 1:
-                raise AssertionError("residue decomposition left a fractional offset")
-            z.append(int(val))
-        return k, tuple(z)
+    return StructureElement(QuotientMap(integral_relation(a, c)).reps)
 
 
 def lcm_lattice(a: Lattice, b: Lattice) -> Lattice:
@@ -249,31 +219,27 @@ def dual_basis(a: Lattice) -> Lattice:
     return Lattice(np.linalg.inv(a.basis).T)
 
 
-def _frac_mod1(x: Fraction) -> Fraction:
-    return x - floor(x)
-
-
 def sample_dual_torus(a: Lattice, m) -> list[DualSample]:
     """All |det M| wave vectors of the dual torus for Z = A*M.
 
-    The representatives of the quotient dual(Z)/dual(A) are enumerated through
-    hnf(M^T) in the canonical quotient order and reduced into [0,1)^n, kept as
-    exact rationals; the physical wave vector is A^-T times that.
+    The representatives j of the quotient dual(Z)/dual(A) are listed through
+    QuotientMap(M^T); with d = |det M| the integer matrix d*M^-T maps each to
+    the numerators of k_frac = (M^-T j) mod 1, which become exact fractions
+    over d.  The physical wave vector is A^-T times k_frac.
     """
     mm = [[int(x) for x in row] for row in m]
     n = len(mm)
     if any(len(row) != n for row in mm) or n != a.dim:
         raise ValueError("resolution matrix must be square and match the lattice dimension")
-    if det_exact(mm) == 0:
+    d = abs(det_exact(mm))
+    if d == 0:
         raise ValueError("resolution matrix is singular")
-    mt = [[mm[j][i] for j in range(n)] for i in range(n)]
-    h = hnf(mt).H
-    minv_t = mat_inv(mt)  # rows of M^-T
+    mt = [list(col) for col in zip(*mm)]
+    num = [[int(x * d) for x in row] for row in mat_inv(mt)]  # d*M^-T, integral
     dual = dual_basis(a)
     samples = []
-    for j in _quotient_listing(h):
-        k_frac = tuple(_frac_mod1(Fraction(sum(minv_t[i][l] * j[l] for l in range(n))))
-                       for i in range(n))
+    for j in QuotientMap(mt).reps:
+        k_frac = tuple(Fraction(sum(x * y for x, y in zip(row, j)) % d, d) for row in num)
         k_phys = tuple(float(x) for x in dual.basis @ np.array([float(f) for f in k_frac]))
         samples.append(DualSample(k_frac=k_frac, k_phys=k_phys))
     return samples

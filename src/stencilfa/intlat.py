@@ -62,11 +62,6 @@ def mat_mul(a, b) -> Matrix:
     ]
 
 
-def mat_vec(a, v) -> list[Entry]:
-    a = _to_matrix(a)
-    return [_simplify(sum(a[i][k] * v[k] for k in range(len(v)))) for i in range(len(a))]
-
-
 def det_exact(a) -> Entry:
     """Determinant by fraction-free style Gaussian elimination on Fractions."""
     m = [[Fraction(x) for x in row] for row in _to_matrix(a)]

@@ -35,7 +35,16 @@ from math import floor
 
 import numpy as np
 
-from .crystal import Lattice, QuotientMap, StructureElement, is_sublattice, lattice_equal, lcm_lattice
+from .crystal import (
+    Lattice,
+    QuotientMap,
+    StructureElement,
+    integral_relation,
+    is_sublattice,
+    lattice_equal,
+    lcm_lattice,
+)
+from .intlat import mat_inv
 
 
 def _int_vec(v) -> tuple[int, ...]:
@@ -235,9 +244,9 @@ def lattice_coarsening(l: MultiplicationOperator, coarse: Lattice) -> Multiplica
     fastest, and block (i, k) of the coarse multiplier at coarse offset z is
     the fine multiplier at fine offset rel*z + tau_i - tau_k.
     """
-    qm = QuotientMap(l.lattice, coarse)
+    rel = integral_relation(l.lattice, coarse)
+    qm = QuotientMap(rel)
     taus = qm.reps
-    n = l.dim
     p = len(taus)
 
     m_cod, m_dom = l.shape
@@ -251,12 +260,14 @@ def lattice_coarsening(l: MultiplicationOperator, coarse: Lattice) -> Multiplica
                 blk = acc[z] = np.zeros((p * m_cod, p * m_dom), dtype=complex)
             blk[i * m_cod:(i + 1) * m_cod, k * m_dom:(k + 1) * m_dom] = mat
 
+    to_coarse = mat_inv(rel)  # fine coordinates -> coarse coordinates
+
     def block_points(se: StructureElement):
         pts = []
         for tau in taus:
             for s in se.points:
-                w = [Fraction(tau[r]) + s[r] for r in range(n)]
-                pts.append(tuple(sum(qm.rel_inv[r][c] * w[c] for c in range(n)) for r in range(n)))
+                w = [t + x for t, x in zip(tau, s)]
+                pts.append(tuple(sum(r * x for r, x in zip(row, w)) for row in to_coarse))
         return StructureElement(pts)
 
     return MultiplicationOperator(coarse, block_points(l.domain_se), block_points(l.codomain_se), acc)

@@ -25,6 +25,8 @@ from .operator import MultiplicationOperator, make_compatible
 
 DENSE_CAP = 10**4
 
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
 
 @dataclass(frozen=True)
 class DenseTorusOperator:
@@ -35,13 +37,14 @@ class DenseTorusOperator:
 
 def _torus_quotient(a: Lattice, m) -> QuotientMap:
     mm = [[int(x) for x in row] for row in m]
+    if len(mm) != a.dim:
+        raise ValueError("resolution matrix must be square and match the lattice dimension")
     count = abs(det_exact(mm))
     if count == 0:
         raise ValueError("resolution matrix is singular")
     if count > DENSE_CAP:
         raise ValueError(f"torus too large for dense assembly (|det M| = {count} > {DENSE_CAP})")
-    z = Lattice(a.basis @ np.array(mm, dtype=float))
-    return QuotientMap(a, z)
+    return QuotientMap(mm)
 
 
 def assemble_dense(l: MultiplicationOperator, m) -> DenseTorusOperator:
@@ -73,42 +76,36 @@ def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
 
     The vector for (k, l) carries exp(+2*pi*i*<k_frac, x>) at structure slot l
     of every torus point x and zero elsewhere; it is normalized with respect
-    to the averaged inner product <f, g> = (1/|T|) sum conj(f) g.
+    to the averaged inner product <f, g> = (1/|T|) sum conj(f) g.  With
+    d = |det M| every k_frac is K/d for an integer row K, so the phase is
+    taken from the exact residue p = (K.x) mod d: i^(4p // d) times
+    exp(i*pi/2 * (4p mod d)/d), exact at every multiple of a quarter turn.
     """
     qm = _torus_quotient(a, m)
     samples = sample_dual_torus(a, m)
-    n_pts = len(qm.reps)
-    width = len(se)
-    out = []
-    for sample in samples:
-        phases = np.empty(n_pts, dtype=complex)
-        for i, rep in enumerate(qm.reps):
-            t = sum(f * r for f, r in zip(sample.k_frac, rep))
-            phases[i] = np.exp(2j * pi * float(t))
-        for slot in range(width):
-            vec = np.zeros(n_pts * width, dtype=complex)
-            vec[slot::width] = phases
-            out.append(vec)
-    return out
+    d = len(samples)
+    k_num = np.array([[f.numerator * (d // f.denominator) for f in s.k_frac] for s in samples])
+    quarters, rest = np.divmod(4 * (k_num @ np.array(qm.reps).T % d), d)
+    phases = _QUARTER_TURNS[quarters] * np.exp(0.5j * pi * rest / d)
+    return list(np.kron(phases, np.eye(len(se))))
 
 
 def translation_residual(matrix: np.ndarray, a: Lattice, m, shape: tuple[int, int]) -> float:
     """Max Frobenius commutator norm of a dense torus matrix with the
-    primitive translations; shape gives the (codomain, domain) block sizes."""
+    primitive translations; shape gives the (codomain, domain) block sizes.
+
+    With T the block permutation of one primitive step, ||A T - T A|| equals
+    ||A - T A T^-1||, and T A T^-1 is A with rows and columns re-indexed.
+    """
     qm = _torus_quotient(a, m)
-    n_pts = len(qm.reps)
     mc, md = shape
     worst = 0.0
     for axis in range(a.dim):
-        step = tuple(1 if c == axis else 0 for c in range(a.dim))
-        perm = [qm.index[qm.residue(tuple(r + s for r, s in zip(rep, step)))] for rep in qm.reps]
-        t_dom = np.zeros((n_pts * md, n_pts * md))
-        t_cod = np.zeros((n_pts * mc, n_pts * mc))
-        for i, j in enumerate(perm):
-            t_dom[i * md:(i + 1) * md, j * md:(j + 1) * md] = np.eye(md)
-            t_cod[i * mc:(i + 1) * mc, j * mc:(j + 1) * mc] = np.eye(mc)
-        resid = matrix @ t_dom - t_cod @ matrix
-        worst = max(worst, float(np.linalg.norm(resid)))
+        step = [rep[:axis] + (rep[axis] + 1,) + rep[axis + 1:] for rep in qm.reps]
+        perm = np.array([qm.index[qm.residue(x)] for x in step])
+        rows = (perm[:, None] * mc + np.arange(mc)).ravel()
+        cols = (perm[:, None] * md + np.arange(md)).ravel()
+        worst = max(worst, float(np.linalg.norm(matrix - matrix[np.ix_(rows, cols)])))
     return worst
 
 

@@ -139,6 +139,22 @@ def test_spectrum_matrix_resolution(capsys):
     assert len(out.strip().splitlines()) == 1 + 20 + 1
 
 
+def test_resolution_singularity_is_exact(capsys):
+    # det = -1: a float determinant of these entries rounds to 0
+    unimodular = "[[100000001,100000000],[100000000,99999999]]"
+    code, out, _ = run(
+        capsys, "spectrum", "--example", "laplacian-rb", "--resolution", unimodular,
+        "--expr", "L",
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 2 + 1  # header, one sample, rho line
+    code, _, err = run(
+        capsys, "spectrum", "--example", "laplacian-rb", "--resolution", "[[2,4],[1,2]]",
+    )
+    assert code == 1
+    assert "singular" in err
+
+
 def test_spectrum_output_byte_stable_across_runs(tmp_path, capsys):
     paths = []
     for attempt in ("1", "2"):
@@ -205,6 +221,41 @@ def test_unknown_identifier_is_expression_error(capsys):
     )
     assert code == 3
     assert "Q" in err
+
+
+def test_expression_without_identifier_is_expression_error(capsys):
+    code, out, err = run(
+        capsys, "spectrum", "--example", "graphene", "--resolution", "3",
+        "--expr", "I + 2*I",
+    )
+    assert code == 3
+    assert err.startswith("error: bad expression: ")
+    assert "no operator identifier" in err
+    assert out == ""
+
+
+def _file_with_expression(tmp_path, capsys, expr):
+    path = tmp_path / "rb.json"
+    run(capsys, "describe", "--example", "laplacian-rb", "--format", "json", "--output", str(path))
+    raw = json.loads(path.read_text())
+    raw["expr"] = expr
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_file_expression_without_identifier_is_expression_error(tmp_path, capsys):
+    path = _file_with_expression(tmp_path, capsys, "2*I")
+    code, out, err = run(capsys, "spectrum", "--input", str(path))
+    assert code == 3
+    assert err.startswith("error: bad expression: ")
+    assert out == ""
+
+
+def test_describe_keeps_expression_without_identifier(tmp_path, capsys):
+    path = _file_with_expression(tmp_path, capsys, "2*I")
+    code, out, _ = run(capsys, "describe", "--input", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["expr"] == "2*I"
 
 
 def test_shape_mismatch_is_incompatibility_error(capsys):

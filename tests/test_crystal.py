@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from stencilfa.crystal import (
     DualSample,
     Lattice,
+    QuotientMap,
     StructureElement,
     dual_basis,
     elements_in_quotient,
@@ -18,7 +19,7 @@ from stencilfa.crystal import (
     relation,
     sample_dual_torus,
 )
-from stencilfa.intlat import det_exact
+from stencilfa.intlat import det_exact, mat_inv
 
 from oracles import intersection_determinant
 
@@ -202,3 +203,27 @@ def test_dual_sample_count_and_uniqueness(m):
     samples = sample_dual_torus(a, m)
     assert len(samples) == abs(det_exact(m))
     assert len(set(s.k_frac for s in samples)) == len(samples)
+
+
+def quotient_cases(n, lo, hi):
+    vectors = st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                       min_size=1, max_size=6)
+    return st.tuples(small_int_matrices(n, lo, hi), vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(quotient_cases(2, -5, 5), quotient_cases(3, -3, 3)))
+def test_quotient_map_locate_residue_and_listing(case):
+    rel, xs = case
+    qm = QuotientMap(rel)
+    det = abs(det_exact(rel))
+    assert len(qm.reps) == det
+    for x in xs:
+        k, z = qm.locate(x)
+        back = [r + sum(a * b for a, b in zip(row, z)) for r, row in zip(qm.reps[k], rel)]
+        assert back == x
+        assert qm.residue(x) == qm.reps[k]
+    # x = y mod rel  iff  adj(rel)*(x - y) = 0 mod det, with adj(rel) = det*rel^-1
+    adj = [[int(v * det) for v in row] for row in mat_inv(rel)]
+    keys = {tuple(sum(a * b for a, b in zip(row, r)) % det for row in adj) for r in qm.reps}
+    assert len(keys) == det

@@ -1,12 +1,14 @@
 """Dense torus assembly and cross-validation oracle tests."""
 
+import cmath
 from fractions import Fraction
+from math import floor, pi
 
 import numpy as np
 import pytest
 
 from oracles import pair_eigenvalues
-from stencilfa.crystal import Lattice, StructureElement, sample_dual_torus
+from stencilfa.crystal import Lattice, QuotientMap, StructureElement, sample_dual_torus
 from stencilfa.expr import parse
 from stencilfa.operator import (
     MultiplicationOperator,
@@ -113,6 +115,8 @@ def test_resolution_validation():
     l = five_point()
     with pytest.raises(ValueError, match="singular"):
         assemble_dense(l, [[1, 0], [2, 0]])
+    with pytest.raises(ValueError, match="dimension"):
+        assemble_dense(l, [[2]])
     n = int(np.ceil(np.sqrt(DENSE_CAP))) + 1
     with pytest.raises(ValueError, match="too large"):
         assemble_dense(l, [[n, 0], [0, n]])
@@ -150,6 +154,36 @@ def test_wave_basis_gram_skew_resolution():
     w = np.stack(vecs, axis=1)
     gram = w.conj().T @ w / 10.0
     assert np.abs(gram - np.eye(10)).max() < 1e-12
+
+
+def test_wave_basis_entries_match_fraction_phases():
+    m = [[3, 1], [-1, 4]]
+    width = 2
+    vecs = wave_basis(SQUARE, m, StructureElement([(0, 0), ("1/2", "1/2")]))
+    points = QuotientMap(m).reps
+    samples = sample_dual_torus(SQUARE, m)
+    assert len(vecs) == len(samples) * width
+    for ki, sample in enumerate(samples):
+        for slot in range(width):
+            expected = np.zeros(len(points) * width, dtype=complex)
+            for p, x in enumerate(points):
+                t = sum(f * c for f, c in zip(sample.k_frac, x))
+                expected[p * width + slot] = cmath.exp(2j * pi * float(t - floor(t)))
+            assert np.abs(vecs[ki * width + slot] - expected).max() < 1e-14
+
+
+def test_wave_basis_exact_at_half_and_quarter_turns():
+    m = [[4, 0], [0, 4]]
+    vecs = wave_basis(SQUARE, m, POINT)
+    samples = sample_dual_torus(SQUARE, m)
+    for vec, sample in zip(vecs, samples):
+        entries = set(vec.tolist())
+        # every k_frac is a multiple of 1/4, so every phase is a power of i
+        assert entries <= {1, 1j, -1, -1j}
+        if all(2 * f in (0, 1) for f in sample.k_frac):
+            assert entries <= {1, -1}
+    half = vecs[[s.k_frac for s in samples].index((Fraction(1, 2), 0))]
+    assert set(half.tolist()) == {1, -1}
 
 
 def test_harmonic_invariance():
@@ -197,6 +231,35 @@ def test_position_dependent_matrix_flagged():
     bad = np.diag(np.arange(1.0, 10.0))
     resid = translation_residual(bad, SQUARE, m, (1, 1))
     assert resid > 0.1
+
+
+def dense_permutation_residual(matrix, dim, m, shape):
+    """The commutator norm with explicit 0/1 block translation matrices."""
+    qm = QuotientMap(m)
+    n_pts = len(qm.reps)
+    mc, md = shape
+    worst = 0.0
+    for axis in range(dim):
+        step = tuple(int(c == axis) for c in range(dim))
+        perm = [qm.index[qm.residue(tuple(r + s for r, s in zip(rep, step)))] for rep in qm.reps]
+        t_dom = np.zeros((n_pts * md, n_pts * md))
+        t_cod = np.zeros((n_pts * mc, n_pts * mc))
+        for i, j in enumerate(perm):
+            t_dom[i * md:(i + 1) * md, j * md:(j + 1) * md] = np.eye(md)
+            t_cod[i * mc:(i + 1) * mc, j * mc:(j + 1) * mc] = np.eye(mc)
+        worst = max(worst, float(np.linalg.norm(matrix @ t_dom - t_cod @ matrix)))
+    return worst
+
+
+def test_translation_residual_matches_dense_permutation_formula():
+    m = [[2, 3], [2, -2]]
+    shape = (2, 3)
+    rng = np.random.default_rng(3)
+    size = (10 * shape[0], 10 * shape[1])
+    bad = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    resid = translation_residual(bad, SQUARE, m, shape)
+    assert resid > 1.0
+    assert resid == pytest.approx(dense_permutation_residual(bad, 2, m, shape), rel=1e-12)
 
 
 # ------------------------------------------------------------- composition

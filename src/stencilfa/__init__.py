@@ -21,7 +21,6 @@ from .expr import ExprSyntaxError, eval_position, parse, render
 from .gallery import GalleryEntry, build, entry_names
 from .intlat import hnf, snf
 from .operator import (
-    LEX_BOTTOM_UP,
     MultiplicationOperator,
     add,
     adjoint,
@@ -51,7 +50,6 @@ __all__ = [
     "ExprSyntaxError",
     "GalleryEntry",
     "Lattice",
-    "LEX_BOTTOM_UP",
     "MultiplicationOperator",
     "QuotientMap",
     "SpectrumRecord",

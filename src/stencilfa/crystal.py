@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .intlat import (
     mat_inv,
     mat_mul,
     rational_reconstruct,
+    scaled_integer,
     snf,
 )
 
@@ -184,27 +185,13 @@ class QuotientMap:
         return self.index[rep], z
 
 
-def elements_in_quotient(a: Lattice, c: Lattice) -> StructureElement:
-    """Canonical representatives of L(A)/L(C) as integer coordinates w.r.t. A.
-
-    The listing is the mixed-radix counter over the diagonal of hnf(A^-1 C),
-    first coordinate fastest, so it is reproducible across runs.
-    """
-    return StructureElement(QuotientMap(integral_relation(a, c)).reps)
-
-
 def lcm_lattice(a: Lattice, b: Lattice) -> Lattice:
     """Coarsest common sublattice of two rationally related lattices."""
     try:
         rel = relation(a, b)
     except ValueError:
         raise ValueError("no common sublattice") from None
-    r = 1
-    for row in rel:
-        for x in row:
-            if isinstance(x, Fraction):
-                r = lcm(r, x.denominator)
-    m = [[int(x * r) for x in row] for row in rel]
+    m, r = scaled_integer(rel)
     res = snf(m)
     n = len(m)
     scale = [r // gcd(r, int(res.S[i][i])) for i in range(n)]
@@ -219,6 +206,18 @@ def dual_basis(a: Lattice) -> Lattice:
     return Lattice(np.linalg.inv(a.basis).T)
 
 
+def integer_resolution(a: Lattice, m) -> tuple[list[list[int]], int]:
+    """The resolution matrix M of the torus A*M as Python ints, and |det M|."""
+    mm = [[int(x) for x in row] for row in m]
+    n = len(mm)
+    if any(len(row) != n for row in mm) or n != a.dim:
+        raise ValueError("resolution matrix must be square and match the lattice dimension")
+    d = abs(det_exact(mm))
+    if d == 0:
+        raise ValueError("resolution matrix is singular")
+    return mm, d
+
+
 def sample_dual_torus(a: Lattice, m) -> list[DualSample]:
     """All |det M| wave vectors of the dual torus for Z = A*M.
 
@@ -227,13 +226,7 @@ def sample_dual_torus(a: Lattice, m) -> list[DualSample]:
     the numerators of k_frac = (M^-T j) mod 1, which become exact fractions
     over d.  The physical wave vector is A^-T times k_frac.
     """
-    mm = [[int(x) for x in row] for row in m]
-    n = len(mm)
-    if any(len(row) != n for row in mm) or n != a.dim:
-        raise ValueError("resolution matrix must be square and match the lattice dimension")
-    d = abs(det_exact(mm))
-    if d == 0:
-        raise ValueError("resolution matrix is singular")
+    mm, d = integer_resolution(a, m)
     mt = [list(col) for col in zip(*mm)]
     num = [[int(x * d) for x in row] for row in mat_inv(mt)]  # d*M^-T, integral
     dual = dual_basis(a)

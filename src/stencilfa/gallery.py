@@ -29,7 +29,6 @@ import numpy as np
 from .crystal import Lattice, StructureElement
 from .expr import eval_position, parse
 from .operator import (
-    LEX_BOTTOM_UP,
     MultiplicationOperator,
     change_structure_element,
     identity_operator,
@@ -131,9 +130,7 @@ def graphene(omega: float = 0.5) -> GalleryEntry:
     ]
     smoothers: dict[str, MultiplicationOperator] = {}
     for color, shift in enumerate(shifts, start=1):
-        shifted = StructureElement(
-            [tuple(c + d for c, d in zip(p, shift)) for p in l_hat.domain_se]
-        )
+        shifted = l_hat.domain_se.shifted(shift)
         l_shift = change_structure_element(l_hat, shifted, shifted)
         smoothers[f"S{color}"] = mask_central(l_shift, hexagon)
 
@@ -230,7 +227,7 @@ def curlcurl(sigma_h: float = 0.01) -> GalleryEntry:
     # bottom-to-top/left-to-right order updates the horizontal edge first.
     hat = StructureElement([h_edge, (Fraction(1), Fraction(-1, 2))])
     k_hat = change_structure_element(k, hat, hat)
-    s_e = triangular_splitting(k_hat, LEX_BOTTOM_UP)
+    s_e = triangular_splitting(k_hat)
 
     # Nodal auxiliary space: discrete gradient onto the lattice points.
     nodes = StructureElement([(0, 0)])
@@ -245,7 +242,7 @@ def curlcurl(sigma_h: float = 0.01) -> GalleryEntry:
         },
     )
     k_n = eval_position(parse("R_N*K*adj(R_N)"), {"R_N": r_n, "K": k})
-    s_n = triangular_splitting(k_n, LEX_BOTTOM_UP)
+    s_n = triangular_splitting(k_n)
 
     # Coarse-grid restriction: the fine edges written on 2A (cell copies in
     # the order 0, a1, a2, a1+a2, edge slot fastest) map onto the two coarse
@@ -290,12 +287,6 @@ GALLERY: dict[str, Callable[..., GalleryEntry]] = {
     "laplacian-rb": laplacian_rb,
     "graphene": graphene,
     "curlcurl": curlcurl,
-}
-
-DEFAULT_PARAMETERS: dict[str, dict[str, float]] = {
-    "laplacian-rb": {"h": 1.0},
-    "graphene": {"omega": 0.5},
-    "curlcurl": {"sigma_h": 0.01},
 }
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Entry = int | Fraction
 Matrix = list[list[Entry]]
@@ -62,49 +62,42 @@ def mat_mul(a, b) -> Matrix:
     ]
 
 
-def det_exact(a) -> Entry:
-    """Determinant by fraction-free style Gaussian elimination on Fractions."""
+def _gauss_jordan(a, needs: str) -> tuple[Fraction, Matrix | None]:
+    """Reduce [A | I] to [I | A^-1] on Fractions: (det A, A^-1), or (0, None)."""
     m = [[Fraction(x) for x in row] for row in _to_matrix(a)]
     n = len(m)
     if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return _simplify(det)
-
-
-def mat_inv(a) -> Matrix:
-    """Exact inverse of a rational matrix via Gauss-Jordan elimination."""
-    m = [[Fraction(x) for x in row] for row in _to_matrix(a)]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse needs a square matrix")
+        raise ValueError(f"{needs} needs a square matrix")
     aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
+            return Fraction(0), None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * p for x, p in zip(aug[r], aug[col])]
-    return [[_simplify(x) for x in row[n:]] for row in aug]
+    return det, [row[n:] for row in aug]
+
+
+def det_exact(a) -> Entry:
+    """Exact determinant of a rational matrix, sign included."""
+    return _simplify(_gauss_jordan(a, "determinant")[0])
+
+
+def mat_inv(a) -> Matrix:
+    """Exact inverse of a rational matrix."""
+    inv = _gauss_jordan(a, "inverse")[1]
+    if inv is None:
+        raise ValueError("matrix is singular")
+    return [[_simplify(x) for x in row] for row in inv]
 
 
 def is_integral(a) -> bool:
@@ -120,17 +113,9 @@ def is_unimodular(a) -> bool:
     return det_exact(m) in (1, -1)
 
 
-def _denominator_lcm(m: Matrix) -> int:
-    d = 1
-    for row in m:
-        for x in row:
-            if isinstance(x, Fraction):
-                d = lcm(d, x.denominator)
-    return d
-
-
-def _scaled_integer(m: Matrix) -> tuple[list[list[int]], int]:
-    d = _denominator_lcm(m)
+def scaled_integer(m: Matrix) -> tuple[list[list[int]], int]:
+    """(d*M, d) with d the least common multiple of the entry denominators."""
+    d = lcm(*(x.denominator for row in m for x in row if isinstance(x, Fraction)))
     return [[int(x * d) for x in row] for row in m], d
 
 
@@ -179,7 +164,7 @@ def hnf(a) -> HnfResult:
     n = len(m)
     if len(m[0]) != n:
         raise ValueError("hnf needs a square matrix")
-    b, d = _scaled_integer(m)
+    b, d = scaled_integer(m)
     u = identity_matrix(n)
 
     for i in range(n - 1, -1, -1):
@@ -223,7 +208,7 @@ def snf(a) -> SnfResult:
     n = len(m)
     if len(m[0]) != n:
         raise ValueError("snf needs a square matrix")
-    b, d = _scaled_integer(m)
+    b, d = scaled_integer(m)
     u = identity_matrix(n)
     v = identity_matrix(n)
 

@@ -289,25 +289,12 @@ def make_compatible(ops) -> list[MultiplicationOperator]:
     return [normalize(lattice_coarsening(op, z)) for op in ops]
 
 
-class LexOrder:
-    """Total order on offsets: bottom-to-top, then left-to-right.
+def triangular_splitting(l: MultiplicationOperator) -> MultiplicationOperator:
+    """Forward substitution part: offsets below zero plus tril of the center.
 
-    The last coordinate is the most significant one, so the comparison key is
-    the reversed coordinate tuple.
+    The sweep runs bottom-to-top, then left-to-right: the last coordinate is
+    the most significant, so an offset is below zero when its reversed tuple is.
     """
-
-    def key(self, off):
-        return tuple(reversed(off))
-
-    def lt(self, a, b) -> bool:
-        return self.key(a) < self.key(b)
-
-
-LEX_BOTTOM_UP = LexOrder()
-
-
-def triangular_splitting(l: MultiplicationOperator, order: LexOrder = LEX_BOTTOM_UP) -> MultiplicationOperator:
-    """Forward substitution part: offsets below zero plus tril of the center."""
     if l.domain_se != l.codomain_se:
         raise ValueError("triangular splitting needs equal domain and codomain structure elements")
     zero = (0,) * l.dim
@@ -315,7 +302,7 @@ def triangular_splitting(l: MultiplicationOperator, order: LexOrder = LEX_BOTTOM
     for off, mat in l.multipliers.items():
         if off == zero:
             out[off] = np.tril(mat)
-        elif order.lt(off, zero):
+        elif off[::-1] < zero:
             out[off] = mat
     return MultiplicationOperator(l.lattice, l.domain_se, l.codomain_se, out)
 

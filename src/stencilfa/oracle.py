@@ -19,8 +19,7 @@ from math import pi
 
 import numpy as np
 
-from .crystal import Lattice, QuotientMap, StructureElement, sample_dual_torus
-from .intlat import det_exact
+from .crystal import Lattice, QuotientMap, StructureElement, integer_resolution, sample_dual_torus
 from .operator import MultiplicationOperator, make_compatible
 
 DENSE_CAP = 10**4
@@ -36,12 +35,7 @@ class DenseTorusOperator:
 
 
 def _torus_quotient(a: Lattice, m) -> QuotientMap:
-    mm = [[int(x) for x in row] for row in m]
-    if len(mm) != a.dim:
-        raise ValueError("resolution matrix must be square and match the lattice dimension")
-    count = abs(det_exact(mm))
-    if count == 0:
-        raise ValueError("resolution matrix is singular")
+    mm, count = integer_resolution(a, m)
     if count > DENSE_CAP:
         raise ValueError(f"torus too large for dense assembly (|det M| = {count} > {DENSE_CAP})")
     return QuotientMap(mm)

@@ -155,6 +155,37 @@ def test_resolution_singularity_is_exact(capsys):
     assert "singular" in err
 
 
+BEYOND_INT64 = 10**19
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [f"[[{BEYOND_INT64},0],[0,1]]", str(BEYOND_INT64)],
+    ids=["matrix", "scalar"],
+)
+def test_resolution_flag_beyond_int64_is_schema_error(capsys, flag):
+    code, out, err = run(
+        capsys, "spectrum", "--example", "laplacian-rb", "--resolution", flag, "--expr", "L",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --resolution: ")
+    assert "64-bit" in err
+
+
+def test_file_resolution_beyond_int64_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "rb.json"
+    run(capsys, "describe", "--example", "laplacian-rb", "--format", "json", "--output", str(path))
+    raw = json.loads(path.read_text())
+    raw["resolution"] = [[BEYOND_INT64, 0], [0, 1]]
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "describe", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: resolution: ")
+    assert "64-bit" in err
+
+
 def test_spectrum_output_byte_stable_across_runs(tmp_path, capsys):
     paths = []
     for attempt in ("1", "2"):
@@ -304,6 +335,15 @@ def test_verify_gallery_entries_pass(capsys):
     code, out, _ = run(capsys, "verify", "--example", "graphene", "--resolution", "3")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_torus_above_dense_cap_is_an_error_line(capsys):
+    # |det M| = 101^2 exceeds the dense oracle's cap of 10^4 block rows
+    code, out, err = run(capsys, "verify", "--example", "laplacian-rb", "--resolution", "101")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "too large" in err
 
 
 def test_verify_corrupted_file_fails(tmp_path, capsys):

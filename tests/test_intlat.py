@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stencilfa.intlat import (
@@ -79,6 +80,54 @@ def test_rational_reconstruct_irrational_fails():
 def test_mat_inv_round_trip():
     a = [[2, 3], [2, -2]]
     assert mat_mul(a, mat_inv(a)) == identity_matrix(2)
+
+
+def leibniz_det(a):
+    """Determinant as the signed sum over permutations, sign by inversion count."""
+    n = len(a)
+    total = Fraction(0)
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i in range(n):
+            term *= a[i][p[i]]
+        total += term
+    return total
+
+
+small_fraction = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def rational_3x3(draw):
+    a = draw(st.lists(st.lists(small_fraction, min_size=3, max_size=3), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        # force a singular matrix: the last row is a combination of the first two
+        s, t = draw(small_fraction), draw(small_fraction)
+        a[2] = [s * x + t * y for x, y in zip(a[0], a[1])]
+    return a
+
+
+@given(rational_3x3())
+@example([[0, 1, 0], [Fraction(1, 2), 0, 0], [0, 0, 1]])  # one row swap: det = -1/2
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_leibniz(a):
+    det = leibniz_det(a)
+    assert det_exact(a) == det
+    if det == 0:
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(a)
+    else:
+        assert mat_mul(a, mat_inv(a)) == identity_matrix(3)
+
+
+def test_square_checks_keep_their_messages():
+    with pytest.raises(ValueError, match="determinant needs a square matrix"):
+        det_exact([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="inverse needs a square matrix"):
+        mat_inv([[1, 2, 3], [4, 5, 6]])
 
 
 small_int = st.integers(min_value=-9, max_value=9)

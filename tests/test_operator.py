@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stencilfa.crystal import Lattice, StructureElement
 from stencilfa.operator import (
-    LEX_BOTTOM_UP,
     MultiplicationOperator,
     add,
     adjoint,
@@ -193,10 +192,9 @@ def test_triangular_splitting_keeps_diagonal_operator():
 
 
 def test_lex_order_is_bottom_to_top_then_left_to_right():
-    assert LEX_BOTTOM_UP.lt((5, -1), (0, 0))
-    assert LEX_BOTTOM_UP.lt((-1, 0), (0, 0))
-    assert not LEX_BOTTOM_UP.lt((1, 0), (0, 0))
-    assert not LEX_BOTTOM_UP.lt((0, 1), (0, 0))
+    offsets = [(5, -1), (-1, 0), (1, 0), (0, 1)]
+    op = MultiplicationOperator(SQUARE, [(0, 0)], [(0, 0)], {off: [[1.0]] for off in offsets})
+    assert set(triangular_splitting(op).multipliers) == {(5, -1), (-1, 0)}
 
 
 def test_mask_central():

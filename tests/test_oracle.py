@@ -122,6 +122,30 @@ def test_resolution_validation():
         assemble_dense(l, [[n, 0], [0, n]])
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ([[2, 0], [1]], "square and match the lattice dimension"),
+        ([[2]], "square and match the lattice dimension"),
+        ([[1, 2], [2, 4]], "resolution matrix is singular"),
+    ],
+    ids=["ragged", "wrong-dimension", "singular"],
+)
+def test_bad_resolution_rejected_alike_by_sampling_and_oracle(m, message):
+    calls = [
+        lambda: sample_dual_torus(SQUARE, m),
+        lambda: assemble_dense(five_point(), m),
+        lambda: wave_basis(SQUARE, m, POINT),
+    ]
+    texts = []
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        texts.append(str(err.value))
+    assert texts == [texts[0]] * 3
+    assert message in texts[0]
+
+
 # ------------------------------------------------------------- wave basis
 
 

@@ -110,10 +110,17 @@ class StructureElement:
 
 @dataclass(frozen=True)
 class DualSample:
-    """One sampled wave vector: exact fractional plus physical coordinates."""
+    """One sampled wave vector: exact fractional plus physical coordinates.
+
+    ``num`` holds the integer numerators of ``k_frac`` over the common
+    denominator ``den`` = |det M| of the sampled torus (not reduced), so
+    k_frac[i] == Fraction(num[i], den).
+    """
 
     k_frac: tuple[Fraction, ...]
     k_phys: tuple[float, ...]
+    num: tuple[int, ...]
+    den: int
 
 
 def relation(a: Lattice, c: Lattice) -> Matrix:
@@ -223,8 +230,9 @@ def sample_dual_torus(a: Lattice, m) -> list[DualSample]:
 
     The representatives j of the quotient dual(Z)/dual(A) are listed through
     QuotientMap(M^T); with d = |det M| the integer matrix d*M^-T maps each to
-    the numerators of k_frac = (M^-T j) mod 1, which become exact fractions
-    over d.  The physical wave vector is A^-T times k_frac.
+    the numerators of k_frac = (M^-T j) mod 1.  Each sample keeps those
+    numerators and d (``num``, ``den``) next to the exact fractions over d.
+    The physical wave vector is A^-T times k_frac.
     """
     mm, d = integer_resolution(a, m)
     mt = [list(col) for col in zip(*mm)]
@@ -232,7 +240,8 @@ def sample_dual_torus(a: Lattice, m) -> list[DualSample]:
     dual = dual_basis(a)
     samples = []
     for j in QuotientMap(mt).reps:
-        k_frac = tuple(Fraction(sum(x * y for x, y in zip(row, j)) % d, d) for row in num)
+        k_num = tuple(sum(x * y for x, y in zip(row, j)) % d for row in num)
+        k_frac = tuple(Fraction(x, d) for x in k_num)
         k_phys = tuple(float(x) for x in dual.basis @ np.array([float(f) for f in k_frac]))
-        samples.append(DualSample(k_frac=k_frac, k_phys=k_phys))
+        samples.append(DualSample(k_frac=k_frac, k_phys=k_phys, num=k_num, den=d))
     return samples

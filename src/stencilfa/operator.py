@@ -31,7 +31,9 @@ rely on):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import floor
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,7 +64,12 @@ def _coerce_se(se) -> StructureElement:
 
 
 class MultiplicationOperator:
-    """Translationally invariant operator given by its multiplier map."""
+    """Translationally invariant operator given by its multiplier map.
+
+    ``multipliers`` is a read-only mapping from offset to a read-only
+    matrix, so the stacked form the symbol evaluation caches never goes
+    stale.
+    """
 
     def __init__(self, lattice: Lattice, domain_se, codomain_se, multipliers):
         self.lattice = lattice
@@ -82,7 +89,17 @@ class MultiplicationOperator:
             if np.count_nonzero(arr):
                 arr.setflags(write=False)
                 clean[key] = arr
-        self.multipliers = clean
+        self.multipliers = MappingProxyType(clean)
+
+    @cached_property
+    def _stack(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+        """The offsets and their multipliers as one read-only (n, rows, cols)
+        array, both in ``multipliers`` order."""
+        offsets = tuple(self.multipliers)
+        stack = np.array([self.multipliers[off] for off in offsets], dtype=complex)
+        stack = stack.reshape((len(offsets),) + self.shape)
+        stack.setflags(write=False)
+        return offsets, stack
 
     @property
     def dim(self) -> int:

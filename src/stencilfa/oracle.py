@@ -70,15 +70,15 @@ def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
 
     The vector for (k, l) carries exp(+2*pi*i*<k_frac, x>) at structure slot l
     of every torus point x and zero elsewhere; it is normalized with respect
-    to the averaged inner product <f, g> = (1/|T|) sum conj(f) g.  With
-    d = |det M| every k_frac is K/d for an integer row K, so the phase is
-    taken from the exact residue p = (K.x) mod d: i^(4p // d) times
+    to the averaged inner product <f, g> = (1/|T|) sum conj(f) g.  Every
+    k_frac is K/d for the integer row K = sample.num over d = |det M|, so the
+    phase is taken from the exact residue p = (K.x) mod d: i^(4p // d) times
     exp(i*pi/2 * (4p mod d)/d), exact at every multiple of a quarter turn.
     """
     qm = _torus_quotient(a, m)
     samples = sample_dual_torus(a, m)
-    d = len(samples)
-    k_num = np.array([[f.numerator * (d // f.denominator) for f in s.k_frac] for s in samples])
+    d = samples[0].den
+    k_num = np.array([s.num for s in samples])
     quarters, rest = np.divmod(4 * (k_num @ np.array(qm.reps).T % d), d)
     phases = _QUARTER_TURNS[quarters] * np.exp(0.5j * pi * rest / d)
     return list(np.kron(phases, np.eye(len(se))))

@@ -11,8 +11,14 @@ invariant under the sign choice because their multiplier maps are symmetric
 under offset negation plus conjugation.
 
 Evaluating the phase from k_frac instead of the physical wave vector keeps
-rational frequencies exact: k_frac = 1/2 yields a phase of exactly -1 no
-matter how the lattice basis is conditioned.
+rational frequencies exact up to the exponential itself: k_frac = 1/2 gives
+a turn of exactly 0.5 no matter how the lattice basis is conditioned.  The
+phases come from integer numerators, with no Fraction arithmetic per sample:
+with k_frac = num/den, the turn of offset j is the exact residue
+(<num, j> mod den) / den, rounded to a float once by int true division, and
+one vectorized exp covers all offsets of an operator.  The sum over offsets
+runs in ``multipliers`` order on the operator's cached (n, rows, cols)
+multiplier stack.
 
 compute_spectrum implements the full sampling pipeline: rewrite all operators
 on their coarsest common sublattice, sample the dual torus for Z = C*M,
@@ -24,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, pi
+from math import lcm, pi
+from operator import mul
 
 import numpy as np
 
@@ -48,18 +55,30 @@ class SpectrumResult:
     expression: str
 
 
+def _numerators(k) -> tuple[tuple[int, ...], int]:
+    """A bare sequence of fractional coordinates as integer numerators over
+    one common denominator."""
+    k_frac = [Fraction(f) for f in k]
+    den = lcm(*(f.denominator for f in k_frac))
+    return tuple(f.numerator * (den // f.denominator) for f in k_frac), den
+
+
 def symbol_at(l: MultiplicationOperator, k) -> np.ndarray:
     """The symbol matrix of l at a frequency sample.
 
     k is either a DualSample or a bare sequence of fractional coordinates.
     """
-    k_frac = k.k_frac if isinstance(k, DualSample) else tuple(Fraction(f) for f in k)
-    mat = np.zeros(l.shape, dtype=complex)
-    for off, m in l.multipliers.items():
-        t = sum(f * o for f, o in zip(k_frac, off))
-        t = t - floor(t)
-        mat = mat + m * np.exp(2j * pi * float(t))
-    return mat
+    num, den = (k.num, k.den) if isinstance(k, DualSample) else _numerators(k)
+    if len(num) != l.dim:
+        raise ValueError(f"frequency has dimension {len(num)}, operator has dimension {l.dim}")
+    offsets, stack = l._stack
+    if not offsets:
+        return np.zeros(l.shape, dtype=complex)
+    turns = np.array([sum(map(mul, off, num)) % den / den for off in offsets])
+    terms = stack * np.exp(2j * pi * turns)[:, None, None]
+    # a strictly sequential running sum adds the terms in the same order as
+    # a loop would; + 0.0 turns a leading -0.0 into the +0.0 of a sum from zero
+    return np.cumsum(terms, axis=0)[-1] + 0.0
 
 
 #: Spectral norms at or below this level are treated as "the zero matrix" by
@@ -138,9 +157,9 @@ def compute_spectrum(expr, env, m) -> SpectrumResult:
     compatible = make_compatible([env[name] for name in names])
     named = dict(zip(names, compatible))
     lattice = compatible[0].lattice
-    samples = sample_dual_torus(lattice, m)
+    # all samples share one denominator, so numerator order is k_frac order
+    samples = sorted(sample_dual_torus(lattice, m), key=lambda s: s.num)
     records = [_record_for(expr, named, s) for s in samples]
-    records.sort(key=lambda r: r.k_frac)
     rho = 0.0
     for rec in records:
         for ev in rec.eigenvalues:

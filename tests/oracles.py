@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import floor, gcd, lcm, pi
 
 import numpy as np
 
@@ -123,6 +123,19 @@ def _det(m):
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return det
+
+
+def fraction_symbol_at(l, k) -> np.ndarray:
+    """The symbol of l at k by the plain formula: exact Fraction phases per
+    offset, each reduced mod 1 and exponentiated alone, summed from zero in
+    ``multipliers`` order.  k is a sample with ``k_frac`` or a sequence."""
+    k_frac = k.k_frac if hasattr(k, "k_frac") else tuple(Fraction(f) for f in k)
+    mat = np.zeros(l.shape, dtype=complex)
+    for off, m in l.multipliers.items():
+        t = sum(f * o for f, o in zip(k_frac, off))
+        t = t - floor(t)
+        mat = mat + m * np.exp(2j * pi * float(t))
+    return mat
 
 
 def charpoly_eigenvalues(m) -> np.ndarray:

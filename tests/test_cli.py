@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import pair_eigenvalues
+from oracles import fraction_symbol_at, pair_eigenvalues
 from stencilfa.cli import load_operator_file, main
 from stencilfa.gallery import build
 from stencilfa.oracle import assemble_dense, dense_spectrum
@@ -96,6 +96,25 @@ def test_spectrum_csv_rows_match_dense_oracle(capsys):
     # rows come out grouped by frequency with ascending eigenvalue index
     keys = [(r[0], r[1], int(r[4])) for r in rows]
     assert keys == sorted(keys, key=lambda t: (keys.index((t[0], t[1], 0)), t[2]))
+
+
+@pytest.mark.parametrize(
+    "example, resolution",
+    [("curlcurl", "16"), ("graphene", "9"), ("laplacian-rb", "[[2,3],[2,-2]]")],
+)
+def test_spectrum_csv_matches_fraction_symbol_formula(tmp_path, capsys, monkeypatch, example, resolution):
+    def spectrum_csv(path):
+        code, out, _ = run(
+            capsys, "spectrum", "--example", example, "--resolution", resolution,
+            "--output", str(path),
+        )
+        assert code == 0
+        return path.read_bytes(), out
+
+    fast = spectrum_csv(tmp_path / "fast.csv")
+    monkeypatch.setattr("stencilfa.symbol.symbol_at", fraction_symbol_at)
+    reference = spectrum_csv(tmp_path / "reference.csv")
+    assert fast == reference
 
 
 def test_spectrum_reproduces_published_convergence_factor(capsys):

@@ -59,6 +59,19 @@ def test_constructor_prunes_zero_matrices():
     assert set(op.multipliers) == {(0, 0)}
 
 
+def test_multipliers_are_read_only():
+    op = five_point()
+    with pytest.raises(TypeError):
+        op.multipliers[(0, 0)] = np.eye(1)
+    with pytest.raises(TypeError):
+        op.multipliers[(2, 0)] = np.eye(1)
+    with pytest.raises(TypeError):
+        del op.multipliers[(1, 0)]
+    with pytest.raises(ValueError, match="read-only"):
+        op.multipliers[(0, 0)][0, 0] = 0
+    assert set(op.multipliers) == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
 def test_constructor_rejects_fractional_offsets():
     with pytest.raises(ValueError, match="integer"):
         MultiplicationOperator(SQUARE, [(0, 0)], [(0, 0)], {(0.5, 0): [[1.0]]})

@@ -1,15 +1,17 @@
 """Symbol evaluation, pseudo-inverse, and spectrum sampling tests."""
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly_eigenvalues, pair_eigenvalues
-from stencilfa.crystal import Lattice, StructureElement, sample_dual_torus
+from oracles import charpoly_eigenvalues, fraction_symbol_at, pair_eigenvalues
+from stencilfa.crystal import DualSample, Lattice, StructureElement, sample_dual_torus
 from stencilfa.expr import parse
+from stencilfa.gallery import build
 from stencilfa.operator import (
     MultiplicationOperator,
     add,
@@ -74,12 +76,78 @@ def test_symbol_accepts_dual_sample():
         assert s.shape == (1, 1)
 
 
+def test_symbol_of_dual_sample_uses_only_integer_numerators(monkeypatch):
+    l = five_point()
+    sample = sample_dual_torus(l.lattice, [[4, 0], [0, 4]])[6]
+    want = symbol_at(l, sample)
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built for a DualSample")
+
+    monkeypatch.setattr("stencilfa.symbol.Fraction", no_fraction)
+    blind = DualSample(k_frac=None, k_phys=sample.k_phys, num=sample.num, den=sample.den)
+    assert np.array_equal(symbol_at(l, blind), want)
+
+
 def test_symbol_of_multislot_operator_shape():
     rb = normalize(lattice_coarsening(five_point(), Lattice([[1, 1], [1, -1]])))
     s = symbol_at(rb, (Fraction(1, 5), Fraction(2, 5)))
     assert s.shape == (2, 2)
     # symbols of a self-adjoint operator are Hermitian
     assert np.allclose(s, s.conj().T, atol=1e-12)
+
+
+def _same_bits(got, want):
+    # stricter than np.array_equal: -0.0 and +0.0 differ here
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_symbol_rejects_frequency_of_wrong_dimension():
+    l = build("laplacian-rb").operators["L"]
+    for k in ((Fraction(1, 4),), (Fraction(1, 4), 0, Fraction(1, 2))):
+        with pytest.raises(ValueError, match=f"frequency has dimension {len(k)}, operator has dimension 2"):
+            symbol_at(l, k)
+    sample = sample_dual_torus(Lattice([[1.0]]), [[4]])[1]
+    with pytest.raises(ValueError, match="frequency has dimension 1, operator has dimension 2"):
+        symbol_at(l, sample)
+
+
+_BIG = 10**30
+_THIRDS = [Fraction(1, 3), Fraction(2, 3), Fraction(0)]
+
+
+@example(seed=0, dim=2, shape=(2, 3), offsets=[], k=_THIRDS, as_sample=False)
+@example(seed=0, dim=2, shape=(2, 3), offsets=[], k=_THIRDS, as_sample=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    shape=st.sampled_from([(1, 1), (2, 2), (2, 3)]),
+    offsets=st.lists(st.lists(st.integers(-60, 60), min_size=3, max_size=3), max_size=9),
+    k=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=_BIG), min_size=3, max_size=3),
+    as_sample=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_symbol_matches_fraction_formula_bit_for_bit(seed, dim, shape, offsets, k, as_sample):
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    table = {}
+    for off in offsets:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m[rng.random(size=shape) < 0.3] = 0  # zero entries make signed zeros
+        table[tuple(off[:dim])] = m
+    se_dom = StructureElement([(Fraction(j, cols),) * dim for j in range(cols)])
+    se_cod = StructureElement([(Fraction(i, rows),) * dim for i in range(rows)])
+    l = MultiplicationOperator(Lattice(np.eye(dim)), se_dom, se_cod, table)
+    k = k[:dim]
+    if as_sample:
+        # a common denominator of k, not always the least one
+        den = lcm(*(f.denominator for f in k)) * int(rng.integers(1, 2**40))
+        num = tuple(int(f * den) % den for f in k)
+        k = DualSample(k_frac=tuple(Fraction(n, den) for n in num), k_phys=(0.0,) * dim, num=num, den=den)
+    got = symbol_at(l, k)
+    assert _same_bits(got, fraction_symbol_at(l, k))
+    if not l.multipliers:
+        assert _same_bits(got, np.zeros(shape, dtype=complex))
 
 
 # ----------------------------------------------------------------- pinv

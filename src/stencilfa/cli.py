@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,9 @@ from .intlat import det_exact
 from .operator import MultiplicationOperator
 from .oracle import (
     assemble_dense,
-    check_translation_invariance,
     dense_spectrum,
     spectrum_distance,
+    translation_residual,
     wave_basis,
 )
 from .symbol import SpectrumResult, compute_spectrum, eigenvalues, symbol_at
@@ -91,7 +92,13 @@ def _structure_element(raw, dim: int, where: str) -> StructureElement:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = inf
+    if not isfinite(number):
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _complex_entry(value, where: str) -> complex:
@@ -309,6 +316,8 @@ def _parse_params(items) -> dict[str, float]:
             params[key] = float(value)
         except ValueError:
             raise SchemaError(f"--param {key}: {value!r} is not a number") from None
+        if not isfinite(params[key]):
+            raise SchemaError(f"--param {key}: {value!r} is not a finite number")
     return params
 
 
@@ -528,27 +537,24 @@ def cmd_describe(args) -> int:
 
 
 def _verify_checks(operators, resolution) -> list[tuple[str, float, float]]:
-    checks: list[tuple[str, float, float]] = []
+    invariance: list[tuple[str, float, float]] = []
+    spectra: list[tuple[str, float, float]] = []
     for name in sorted(operators):
         op = operators[name]
-        checks.append(
-            (
-                f"translation invariance  {name}",
-                check_translation_invariance(op, resolution),
-                INVARIANCE_TOL,
-            )
-        )
-    for name in sorted(operators):
-        op = operators[name]
-        if op.domain_se != op.codomain_se:
+        matrix = assemble_dense(op, resolution)
+        residual = translation_residual(matrix, op.lattice, resolution, op.shape)
+        dense = dense_spectrum(matrix) if op.domain_se == op.codomain_se else None
+        del matrix  # one dense matrix alive at a time
+        invariance.append((f"translation invariance  {name}", residual, INVARIANCE_TOL))
+        if dense is None:
             continue
-        dense = dense_spectrum(assemble_dense(op, resolution))
         union: list[complex] = []
         for sample in sample_dual_torus(op.lattice, resolution):
             union.extend(eigenvalues(symbol_at(op, sample)))
-        checks.append(
+        spectra.append(
             (f"symbol vs dense spectrum  {name}", spectrum_distance(union, dense), SPECTRUM_TOL)
         )
+    checks = invariance + spectra
     seen: set = set()
     for name in sorted(operators):
         op = operators[name]

@@ -16,7 +16,7 @@ normal form of the integer relation, the representative with counter i-1 has
 the mixed-radix digits of i-1 with respect to (H_11, ..., H_nn), the first
 basis direction varying fastest.  Dual-torus samples reuse that listing on the
 dual relation M^T; their coordinates are integer numerators over |det M|,
-turned into exact ``Fraction``s in [0,1)^n only for output.
+turned into exact ``Fraction``s in [0,1)^n only when read as ``k_frac``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -110,17 +111,20 @@ class StructureElement:
 
 @dataclass(frozen=True)
 class DualSample:
-    """One sampled wave vector: exact fractional plus physical coordinates.
+    """One sampled wave vector: integer numerators plus physical coordinates.
 
-    ``num`` holds the integer numerators of ``k_frac`` over the common
-    denominator ``den`` = |det M| of the sampled torus (not reduced), so
-    k_frac[i] == Fraction(num[i], den).
+    ``num`` holds the numerators of the fractional coordinates over the
+    common denominator ``den`` = |det M| of the sampled torus (not reduced).
     """
 
-    k_frac: tuple[Fraction, ...]
-    k_phys: tuple[float, ...]
     num: tuple[int, ...]
     den: int
+    k_phys: tuple[float, ...]
+
+    @property
+    def k_frac(self) -> tuple[Fraction, ...]:
+        """The exact fractional coordinates num/den, built on each access."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
 
 def relation(a: Lattice, c: Lattice) -> Matrix:
@@ -230,18 +234,13 @@ def sample_dual_torus(a: Lattice, m) -> list[DualSample]:
 
     The representatives j of the quotient dual(Z)/dual(A) are listed through
     QuotientMap(M^T); with d = |det M| the integer matrix d*M^-T maps each to
-    the numerators of k_frac = (M^-T j) mod 1.  Each sample keeps those
-    numerators and d (``num``, ``den``) next to the exact fractions over d.
-    The physical wave vector is A^-T times k_frac.
+    the numerators of k_frac = (M^-T j) mod 1, kept over d (``num``, ``den``).
+    The physical wave vectors A^-T k_frac come from one matrix product.
     """
     mm, d = integer_resolution(a, m)
     mt = [list(col) for col in zip(*mm)]
     num = [[int(x * d) for x in row] for row in mat_inv(mt)]  # d*M^-T, integral
-    dual = dual_basis(a)
-    samples = []
-    for j in QuotientMap(mt).reps:
-        k_num = tuple(sum(x * y for x, y in zip(row, j)) % d for row in num)
-        k_frac = tuple(Fraction(x, d) for x in k_num)
-        k_phys = tuple(float(x) for x in dual.basis @ np.array([float(f) for f in k_frac]))
-        samples.append(DualSample(k_frac=k_frac, k_phys=k_phys, num=k_num, den=d))
-    return samples
+    nums = [tuple(sum(map(mul, row, j)) % d for row in num) for j in QuotientMap(mt).reps]
+    # d samples are listed, so d and every numerator convert to float exactly
+    k_phys = (np.array(nums) / d) @ dual_basis(a).basis.T
+    return [DualSample(k, d, tuple(p)) for k, p in zip(nums, k_phys.tolist())]

@@ -105,14 +105,6 @@ def is_integral(a) -> bool:
                for row in _to_matrix(a) for x in row)
 
 
-def is_unimodular(a) -> bool:
-    """True iff the matrix is square, integral and has determinant +-1."""
-    m = _to_matrix(a)
-    if len(m) != len(m[0]) or not is_integral(m):
-        return False
-    return det_exact(m) in (1, -1)
-
-
 def scaled_integer(m: Matrix) -> tuple[list[list[int]], int]:
     """(d*M, d) with d the least common multiple of the entry denominators."""
     d = lcm(*(x.denominator for row in m for x in row if isinstance(x, Fraction)))

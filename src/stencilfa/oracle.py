@@ -14,7 +14,6 @@ for desk-scale verification, not production runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -27,13 +26,6 @@ DENSE_CAP = 10**4
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
-@dataclass(frozen=True)
-class DenseTorusOperator:
-    resolution: tuple[tuple[int, ...], ...]
-    points: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
-
-
 def _torus_quotient(a: Lattice, m) -> QuotientMap:
     mm, count = integer_resolution(a, m)
     if count > DENSE_CAP:
@@ -41,7 +33,7 @@ def _torus_quotient(a: Lattice, m) -> QuotientMap:
     return QuotientMap(mm)
 
 
-def assemble_dense(l: MultiplicationOperator, m) -> DenseTorusOperator:
+def assemble_dense(l: MultiplicationOperator, m) -> np.ndarray:
     """Dense matrix of L on the torus with Z = A*M.
 
     Block (i, j) accumulates every multiplier whose offset connects torus
@@ -57,12 +49,11 @@ def assemble_dense(l: MultiplicationOperator, m) -> DenseTorusOperator:
             x = tuple(r + o for r, o in zip(rep, off))
             j = qm.index[qm.residue(x)]
             out[i * mc:(i + 1) * mc, j * md:(j + 1) * md] += mat
-    resolution = tuple(tuple(int(x) for x in row) for row in m)
-    return DenseTorusOperator(resolution=resolution, points=tuple(qm.reps), matrix=out)
+    return out
 
 
-def dense_spectrum(d: DenseTorusOperator) -> list[complex]:
-    return [complex(v) for v in np.linalg.eigvals(d.matrix)]
+def dense_spectrum(matrix: np.ndarray) -> list[complex]:
+    return [complex(v) for v in np.linalg.eigvals(matrix)]
 
 
 def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
@@ -105,8 +96,7 @@ def translation_residual(matrix: np.ndarray, a: Lattice, m, shape: tuple[int, in
 
 def check_translation_invariance(l: MultiplicationOperator, m) -> float:
     """Max Frobenius norm of the commutator with the primitive translations."""
-    dense = assemble_dense(l, m)
-    return translation_residual(dense.matrix, l.lattice, m, l.shape)
+    return translation_residual(assemble_dense(l, m), l.lattice, m, l.shape)
 
 
 def eval_dense(expr, env, m) -> np.ndarray:
@@ -120,7 +110,7 @@ def eval_dense(expr, env, m) -> np.ndarray:
     if not names:
         raise ValueError("expression environment is empty")
     compatible = make_compatible([env[name] for name in names])
-    denses = {name: assemble_dense(op, m).matrix for name, op in zip(names, compatible)}
+    denses = {name: assemble_dense(op, m) for name, op in zip(names, compatible)}
     return expr.eval_matrices(denses)
 
 

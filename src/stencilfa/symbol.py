@@ -40,9 +40,9 @@ from .operator import MultiplicationOperator, make_compatible
 
 
 @dataclass(frozen=True)
-class SpectrumRecord:
-    k_frac: tuple[Fraction, ...]
-    k_phys: tuple[float, ...]
+class SpectrumRecord(DualSample):
+    """A dual-torus sample with the eigenvalues found there, sorted by (re, im)."""
+
     eigenvalues: tuple[complex, ...]
 
 
@@ -140,7 +140,7 @@ def _record_for(expr, named, sample: DualSample) -> SpectrumRecord:
             f"expression shape mismatch at k_frac={_frac_text(sample.k_frac)}: result is {value.shape}"
         )
     eigs = sorted(eigenvalues(value), key=lambda z: (z.real, z.imag))
-    return SpectrumRecord(k_frac=sample.k_frac, k_phys=sample.k_phys, eigenvalues=tuple(eigs))
+    return SpectrumRecord(sample.num, sample.den, sample.k_phys, tuple(eigs))
 
 
 def compute_spectrum(expr, env, m) -> SpectrumResult:

@@ -8,7 +8,7 @@ polynomials) so the main library can be checked against an independent path.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import floor, gcd, lcm, pi
 
 import numpy as np
@@ -66,20 +66,17 @@ def intersection_determinant(a, b) -> Fraction:
     such j is a sublattice J of Z^n containing d*Z^n for d = lcm of the
     denominators of Q, so counting the residues of J inside (Z/dZ)^n gives the
     index of J and with it the determinant of the intersection lattice A*J.
+    With the integer matrix P = d*Q, j is counted when P*j = 0 mod d; the
+    count runs over the whole grid [0, d)^n at once.
     """
     a = [[Fraction(x) for x in row] for row in a]
     b = [[Fraction(x) for x in row] for row in b]
     n = len(a)
-    binv = _invert(b)
-    q = _matmul(binv, a)
-    d = 1
-    for row in q:
-        for x in row:
-            d = lcm(d, x.denominator)
-    count = 0
-    for j in product(range(d), repeat=n):
-        if all(sum(q[i][k] * j[k] for k in range(n)).denominator == 1 for i in range(n)):
-            count += 1
+    q = _matmul(_invert(b), a)
+    d = lcm(*(x.denominator for row in q for x in row))
+    p = np.array([[int(x * d) % d for x in row] for row in q], dtype=np.int64)
+    grid = np.indices((d,) * n).reshape(n, -1)
+    count = int(np.all(p @ grid % d == 0, axis=0).sum())
     det_a = abs(_det(a))
     return det_a * d**n / count
 
@@ -136,6 +133,13 @@ def fraction_symbol_at(l, k) -> np.ndarray:
         t = t - floor(t)
         mat = mat + m * np.exp(2j * pi * float(t))
     return mat
+
+
+def fraction_k_phys(dual_basis, num, den) -> np.ndarray:
+    """The physical wave vector of one sample the per-sample way: each exact
+    fraction num[i]/den rounded to a float, then one product with the dual
+    basis (columns = dual primitive vectors)."""
+    return dual_basis @ np.array([float(Fraction(n, den)) for n in num])
 
 
 def charpoly_eigenvalues(m) -> np.ndarray:

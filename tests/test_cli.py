@@ -339,6 +339,40 @@ def test_param_rejected_for_file_input(tmp_path, capsys):
     assert "gallery" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_parameter_is_schema_error(capsys, value):
+    code, out, err = run(
+        capsys, "spectrum", "--example", "curlcurl", "--resolution", "4",
+        "--param", f"sigma_h={value}",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --param sigma_h: {value!r} is not a finite number\n"
+
+
+@pytest.mark.parametrize(
+    "key, token",
+    [("matrix", "NaN"), ("matrix", "-Infinity"), ("matrix", "1e999"), ("matrix", "1" + "0" * 400),
+     ("lattice", "NaN")],
+    ids=["nan", "-inf", "1e999", "int-1e400", "lattice-nan"],
+)
+def test_non_finite_file_number_is_schema_error(tmp_path, capsys, key, token):
+    path = tmp_path / "rb.json"
+    run(capsys, "describe", "--example", "laplacian-rb", "--format", "json", "--output", str(path))
+    raw = json.loads(path.read_text())
+    op = raw["operators"]["L"]
+    if key == "matrix":
+        op["multipliers"][0]["matrix"][0][0][0] = "@"
+        where = "operators.L.multipliers[0].matrix"
+    else:
+        op["lattice"][0][0] = "@"
+        where = "operators.L.lattice"
+    path.write_text(json.dumps(raw).replace('"@"', token))
+    code, out, err = run(capsys, "spectrum", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {where}: expected a finite number, got ")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 

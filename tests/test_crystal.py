@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stencilfa.crystal import (
@@ -21,7 +21,7 @@ from stencilfa.crystal import (
 )
 from stencilfa.intlat import det_exact, mat_inv
 
-from oracles import intersection_determinant
+from oracles import fraction_k_phys, intersection_determinant
 
 
 def test_lattice_rejects_singular_basis():
@@ -203,6 +203,36 @@ def test_dual_sample_count_and_uniqueness(m):
     samples = sample_dual_torus(a, m)
     assert len(samples) == abs(det_exact(m))
     assert len(set(s.k_frac for s in samples)) == len(samples)
+
+
+@st.composite
+def resolutions_and_bases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(small_int_matrices(n, -3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = rng.normal(size=(n, n)) + 2 * np.eye(n)
+    assume(abs(np.linalg.det(basis)) > 0.1)
+    return m, Lattice(basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(resolutions_and_bases())
+def test_dual_samples_are_the_integer_dual_torus(case):
+    m, a = case
+    n = len(m)
+    d = abs(det_exact(m))
+    samples = sample_dual_torus(a, m)
+    assert len(samples) == d
+    assert len({s.num for s in samples}) == d
+    dual = dual_basis(a).basis
+    for s in samples:
+        assert s.den == d and len(s.num) == n
+        assert all(0 <= x < d for x in s.num)
+        # M^T k_frac is integral: M^T num vanishes modulo den
+        assert all(sum(m[r][i] * s.num[r] for r in range(n)) % d == 0 for i in range(n))
+        assert s.k_frac == tuple(Fraction(x, d) for x in s.num)
+        # bit for bit the per-sample product of the float fractions
+        assert np.array(s.k_phys).tobytes() == fraction_k_phys(dual, s.num, s.den).tobytes()
 
 
 def quotient_cases(n, lo, hi):

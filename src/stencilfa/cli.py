@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, isfinite
+from math import gcd, inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +350,15 @@ def _load_bundle(args) -> Bundle:
 # spectrum output
 
 
+def _k_frac_text(num, den: int) -> list[str]:
+    """str(Fraction(n, den)) for every numerator, from integers alone."""
+    out = []
+    for n in num:
+        g = gcd(n, den)
+        out.append(str(n // g) if den // g == 1 else f"{n // g}/{den // g}")
+    return out
+
+
 def _csv_lines(result: SpectrumResult) -> list[str]:
     dim = result.lattice.dim
     header = (
@@ -359,7 +368,7 @@ def _csv_lines(result: SpectrumResult) -> list[str]:
     )
     lines = [",".join(header)]
     for rec in result.records:
-        prefix = [str(f) for f in rec.k_frac] + [repr(x) for x in rec.k_phys]
+        prefix = _k_frac_text(rec.num, rec.den) + [repr(x) for x in rec.k_phys]
         for idx, e in enumerate(rec.eigenvalues):
             lines.append(
                 ",".join(prefix + [str(idx), repr(e.real), repr(e.imag), repr(abs(e))])
@@ -375,7 +384,7 @@ def _json_payload(result: SpectrumResult) -> dict:
         "rho_max": result.rho,
         "records": [
             {
-                "k_frac": [str(f) for f in rec.k_frac],
+                "k_frac": _k_frac_text(rec.num, rec.den),
                 "k_phys": list(rec.k_phys),
                 "eigenvalues": [[e.real, e.imag] for e in rec.eigenvalues],
             }

@@ -49,6 +49,8 @@ class Lattice:
         arr = np.array(basis, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("lattice basis must be a square matrix")
+        if not np.isfinite(arr).all():
+            raise ValueError("lattice basis must have finite entries")
         col_scale = prod(float(np.linalg.norm(arr[:, j])) for j in range(arr.shape[1]))
         if col_scale == 0.0 or abs(np.linalg.det(arr)) <= 1e-12 * col_scale:
             raise ValueError("lattice basis is singular")

@@ -24,6 +24,9 @@ at parse time, since no evaluation context could ever resolve it.
 One walker evaluates the tree over either of two small algebras.  The matrix
 algebra works on any mapping from names to complex matrices (symbol matrices
 or dense torus matrices) and supports pinv; Expression.eval_matrices uses it.
+It also takes (N, rows, cols) stacks, so one walk evaluates a whole block of
+frequency samples: products, sums and adjoints act on the stack at once, and
+pinv calls pinv_matrix once per matrix of the stack.
 The operator algebra builds an actual multiplication operator out of the
 calculus in the operator module; pseudo-inverses have no position-space
 counterpart, so eval_position rejects any expression that contains one.
@@ -268,7 +271,8 @@ class Expression:
     text: str
 
     def eval_matrices(self, env) -> np.ndarray:
-        """Evaluate with names bound to complex matrices (symbols or dense)."""
+        """Evaluate with names bound to complex matrices (symbols or dense) or
+        to (N, rows, cols) stacks of them; a stack evaluates matrix by matrix."""
         return _shaped(_walk(self.ast, env, _Matrices()))
 
     def identifiers(self) -> set[str]:
@@ -347,27 +351,36 @@ def _lookup(env, name: str):
 
 
 class _Matrices:
-    """Complex matrices: symbol matrices or dense torus matrices."""
+    """Complex matrices or (N, rows, cols) stacks of them: symbol matrices
+    (one per sample) or dense torus matrices.
+
+    Shapes are checked on the last two axes, so 2-D and stacked values mix
+    by broadcasting; an identity is a single 2-D matrix.
+    """
 
     def leaf(self, value):
         return np.asarray(value, dtype=complex)
 
     def identity(self, ref):
-        return np.eye(np.asarray(ref).shape[1], dtype=complex)
+        return np.eye(np.asarray(ref).shape[-1], dtype=complex)
 
     def eye_like(self, c: complex, like):
-        if like.shape[0] != like.shape[1]:
-            raise ValueError(f"bare I cannot be added to a non-square matrix of shape {like.shape}")
-        return c * np.eye(like.shape[0], dtype=complex)
+        if like.shape[-2] != like.shape[-1]:
+            raise ValueError(
+                f"bare I cannot be added to a non-square matrix of shape {like.shape[-2:]}"
+            )
+        return c * np.eye(like.shape[-1], dtype=complex)
 
     def add(self, a, b, sign: int):
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch in '{'+' if sign > 0 else '-'}': {a.shape} vs {b.shape}")
+        if a.shape[-2:] != b.shape[-2:]:
+            raise ValueError(
+                f"shape mismatch in '{'+' if sign > 0 else '-'}': {a.shape[-2:]} vs {b.shape[-2:]}"
+            )
         return a + b if sign > 0 else a - b
 
     def mul(self, a, b):
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"shape mismatch in '*': {a.shape} times {b.shape}")
+        if a.shape[-1] != b.shape[-2]:
+            raise ValueError(f"shape mismatch in '*': {a.shape[-2:]} times {b.shape[-2:]}")
         return a @ b
 
     def scale(self, c: complex, a):
@@ -377,11 +390,14 @@ class _Matrices:
         return -a
 
     def adjoint(self, a):
-        return a.conj().T
+        return a.conj().swapaxes(-1, -2)
 
     def pinv(self, a):
-        # looked up at call time, so a rebinding of the module global is seen
-        return pinv_matrix(a)
+        # one pinv_matrix call per matrix of a stack, looked up at call time
+        # so that a rebinding of the module global is seen
+        if a.ndim == 2:
+            return pinv_matrix(a)
+        return np.stack([pinv_matrix(m) for m in a])
 
 
 class _Operators:

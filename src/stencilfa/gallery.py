@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Callable
 
 import numpy as np
@@ -61,8 +61,8 @@ def laplacian_rb(h: float = 1.0) -> GalleryEntry:
     red and black slot, so (I - pinv(Sb)*L)*(I - pinv(Sr)*L) is the error
     propagator of one red-black Gauss-Seidel sweep.
     """
-    if h <= 0:
-        raise ValueError("grid spacing h must be positive")
+    if not (isfinite(h) and h > 0):
+        raise ValueError("grid spacing h must be finite and positive")
     a = Lattice(np.eye(2) / h)
     point = StructureElement([(0, 0)])
     w = 1.0 / (h * h)
@@ -204,8 +204,8 @@ def curlcurl(sigma_h: float = 0.01) -> GalleryEntry:
     auxiliary space reached through the discrete gradient R_N.  R is the
     published restriction for the Galerkin coarse-grid correction on 2A.
     """
-    if sigma_h < 0:
-        raise ValueError("sigma_h must be nonnegative")
+    if not (isfinite(sigma_h) and sigma_h >= 0):
+        raise ValueError("sigma_h must be finite and nonnegative")
     a = Lattice(np.eye(2))
     h_edge = (Fraction(1, 2), Fraction(0))
     v_edge = (Fraction(0), Fraction(1, 2))

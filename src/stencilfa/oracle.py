@@ -119,15 +119,19 @@ def spectrum_distance(eigs_a, eigs_b) -> float:
 
     Sorting by (re, im) and zipping is unstable for conjugate pairs whose real
     parts agree to rounding, so the multisets are compared by repeatedly
-    pairing the globally closest remaining values instead.
+    pairing the globally closest remaining values instead.  Gaps are taken
+    with hypot, which is what abs of a Python complex computes, so ties and
+    the result are those of a loop over Python's abs, bit for bit.
     """
     a = [complex(e) for e in eigs_a]
-    b = [complex(e) for e in eigs_b]
-    if len(a) != len(b):
-        raise ValueError(f"eigenvalue counts differ: {len(a)} vs {len(b)}")
-    rest = list(b)
+    rest = np.array([complex(e) for e in eigs_b], dtype=complex)
+    if len(a) != len(rest):
+        raise ValueError(f"eigenvalue counts differ: {len(a)} vs {len(rest)}")
     worst = 0.0
     for e in sorted(a, key=lambda z: (-abs(z), z.real, z.imag)):
-        nearest = min(range(len(rest)), key=lambda i: abs(rest[i] - e))
-        worst = max(worst, abs(rest.pop(nearest) - e))
+        d = rest - e
+        gaps = np.hypot(d.real, d.imag)
+        nearest = int(np.argmin(gaps))
+        worst = max(worst, float(gaps[nearest]))
+        rest = np.delete(rest, nearest)
     return worst

@@ -23,7 +23,11 @@ multiplier stack.
 compute_spectrum implements the full sampling pipeline: rewrite all operators
 on their coarsest common sublattice, sample the dual torus for Z = C*M,
 evaluate the expression on the symbol matrices at every sample, and collect
-eigenvalues.  Results are sorted by k_frac.
+eigenvalues.  Results are sorted by k_frac.  The samples are taken in blocks
+of 64: each operator's symbol_at matrices are stacked to (N, rows, cols), the
+expression is walked once over the stacks (pinv still calls pinv_matrix once
+per matrix), and one np.linalg.eigvals call covers the block.  Every step
+acts matrix by matrix, so the records are bit-identical to a per-sample loop.
 """
 
 from __future__ import annotations
@@ -129,18 +133,31 @@ def _frac_text(k_frac) -> str:
     return "(" + ", ".join(str(f) for f in k_frac) + ")"
 
 
-def _record_for(expr, named, sample: DualSample) -> SpectrumRecord:
-    env = {name: symbol_at(op, sample) for name, op in named.items()}
+#: Samples per stacked evaluation.  On graphene at res 41 the time is flat for
+#: blocks of 32 to 512, while one stack of all 1681 samples raises the peak
+#: memory of the process from 33 to 50 MB.
+_BLOCK = 64
+
+
+def _block_records(expr, named, block: list[DualSample]) -> list[SpectrumRecord]:
+    """Records of a block of samples: one walk over the stacked symbols and
+    one eigvals call for the whole block."""
+    env = {name: np.array([symbol_at(op, s) for s in block]) for name, op in named.items()}
     try:
         value = expr.eval_matrices(env)
     except ValueError as exc:
-        raise ValueError(f"expression failed at k_frac={_frac_text(sample.k_frac)}: {exc}") from exc
-    if value.ndim != 2 or value.shape[0] != value.shape[1]:
+        raise ValueError(f"expression failed at k_frac={_frac_text(block[0].k_frac)}: {exc}") from exc
+    if value.shape[-2] != value.shape[-1]:
         raise ValueError(
-            f"expression shape mismatch at k_frac={_frac_text(sample.k_frac)}: result is {value.shape}"
+            f"expression shape mismatch at k_frac={_frac_text(block[0].k_frac)}: "
+            f"result is {value.shape[-2:]}"
         )
-    eigs = sorted(eigenvalues(value), key=lambda z: (z.real, z.imag))
-    return SpectrumRecord(sample.num, sample.den, sample.k_phys, tuple(eigs))
+    # an expression of identities alone is one matrix for every sample
+    value = np.broadcast_to(value, (len(block),) + value.shape[-2:])
+    return [
+        SpectrumRecord(s.num, s.den, s.k_phys, tuple(sorted(eigs, key=lambda z: (z.real, z.imag))))
+        for s, eigs in zip(block, np.linalg.eigvals(value).tolist())
+    ]
 
 
 def compute_spectrum(expr, env, m) -> SpectrumResult:
@@ -159,7 +176,11 @@ def compute_spectrum(expr, env, m) -> SpectrumResult:
     lattice = compatible[0].lattice
     # all samples share one denominator, so numerator order is k_frac order
     samples = sorted(sample_dual_torus(lattice, m), key=lambda s: s.num)
-    records = [_record_for(expr, named, s) for s in samples]
+    records = [
+        rec
+        for start in range(0, len(samples), _BLOCK)
+        for rec in _block_records(expr, named, samples[start:start + _BLOCK])
+    ]
     rho = 0.0
     for rec in records:
         for ev in rec.eigenvalues:

@@ -142,6 +142,24 @@ def fraction_k_phys(dual_basis, num, den) -> np.ndarray:
     return dual_basis @ np.array([float(Fraction(n, den)) for n in num])
 
 
+def per_sample_spectrum(expr, named, samples, symbol_at):
+    """A spectrum the per-sample way: for each sample, every operator's
+    symbol, one walk over the 2-D matrices and one eigvals call, eigenvalues
+    sorted by (re, im); rho is the running max of their moduli.  named maps
+    identifiers to operators already on their common lattice; symbol_at is
+    passed in.  Returns (one eigenvalue tuple per sample, rho)."""
+    eigs = []
+    for s in samples:
+        value = expr.eval_matrices({name: symbol_at(op, s) for name, op in named.items()})
+        evs = [complex(v) for v in np.linalg.eigvals(value)]
+        eigs.append(tuple(sorted(evs, key=lambda z: (z.real, z.imag))))
+    rho = 0.0
+    for row in eigs:
+        for ev in row:
+            rho = max(rho, abs(ev))
+    return eigs, rho
+
+
 def charpoly_eigenvalues(m) -> np.ndarray:
     """Eigenvalues through characteristic-polynomial roots (Faddeev-LeVerrier).
 
@@ -174,4 +192,20 @@ def pair_eigenvalues(left, right) -> float:
         j = min(range(len(ys)), key=lambda i: abs(ys[i] - x))
         worst = max(worst, abs(ys[j] - x))
         ys.pop(j)
+    return worst
+
+
+def greedy_spectrum_distance(eigs_a, eigs_b) -> float:
+    """The plain-loop form of the package's spectrum_distance: values of a by
+    descending modulus, each paired with the first closest remaining value of
+    b by Python's complex abs; the largest gap is returned."""
+    a = [complex(e) for e in eigs_a]
+    b = [complex(e) for e in eigs_b]
+    if len(a) != len(b):
+        raise ValueError(f"eigenvalue counts differ: {len(a)} vs {len(b)}")
+    rest = list(b)
+    worst = 0.0
+    for e in sorted(a, key=lambda z: (-abs(z), z.real, z.imag)):
+        nearest = min(range(len(rest)), key=lambda i: abs(rest[i] - e))
+        worst = max(worst, abs(rest.pop(nearest) - e))
     return worst

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import fraction_symbol_at, pair_eigenvalues
-from stencilfa.cli import load_operator_file, main
+from stencilfa.cli import _k_frac_text, load_operator_file, main
 from stencilfa.gallery import build
 from stencilfa.oracle import assemble_dense, dense_spectrum
 
@@ -147,6 +148,12 @@ def test_spectrum_json_format(tmp_path, capsys):
     assert all(len(rec["eigenvalues"]) == 2 for rec in payload["records"])
     rho_line = float(out.strip().splitlines()[-1].split("=")[1])
     assert payload["rho_max"] == pytest.approx(rho_line, abs=1e-8)
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 12, 41, 64, 360])
+def test_k_frac_text_matches_fraction(den):
+    nums = range(den)
+    assert _k_frac_text(nums, den) == [str(Fraction(n, den)) for n in nums]
 
 
 def test_spectrum_matrix_resolution(capsys):

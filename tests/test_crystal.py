@@ -29,6 +29,12 @@ def test_lattice_rejects_singular_basis():
         Lattice([[1.0, 2.0], [2.0, 4.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lattice_rejects_non_finite_basis(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Lattice([[bad, 0.0], [0.0, 1.0]])
+
+
 def test_lattice_rejects_nonsquare_basis():
     with pytest.raises(ValueError):
         Lattice([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -269,6 +269,34 @@ def test_eval_bare_identity_through_pinv_and_adjoint():
     assert np.allclose(parse("adj(2i*I)*A").eval_matrices(env), -2j * a, atol=1e-14)
 
 
+# over A (3x3), B (3x2) and C (2x3): bare I, I(name), adj, pinv (of full,
+# rank-deficient and zero matrices), scalars and minus, on stacks
+STACK_CORPUS = [
+    "I - pinv(A)*A",
+    "(I - pinv(B*C)*A)*(2*I + -A)",
+    "adj(B)*A*B - 1+0.5i*I(B)",
+    "pinv(2*I)*C*adj(C) + pinv(adj(C))*B",
+    "-(A*pinv(I + A)) + adj(2i*I)*A - I(A)",
+]
+
+
+@pytest.mark.parametrize("text", STACK_CORPUS)
+def test_eval_stack_matches_each_matrix(text):
+    rng = np.random.default_rng(7)
+    shapes = {"A": (3, 3), "B": (3, 2), "C": (2, 3)}
+    stacks = {
+        name: rng.normal(size=(5,) + shape) + 1j * rng.normal(size=(5,) + shape)
+        for name, shape in shapes.items()
+    }
+    stacks["A"][0] = 0.0
+    expr = parse(text)
+    got = expr.eval_matrices(stacks)
+    for i in range(5):
+        want = expr.eval_matrices({name: s[i] for name, s in stacks.items()})
+        assert got.shape == (5,) + want.shape
+        assert np.ascontiguousarray(got[i]).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 # ------------------------------------------------------- position evaluation
 
 

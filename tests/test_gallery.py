@@ -68,6 +68,12 @@ def test_all_operators_translation_invariant(name):
 # red-black Laplacian
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_rb_rejects_non_finite_h(bad):
+    with pytest.raises(ValueError, match="grid spacing h"):
+        laplacian_rb(h=bad)
+
+
 def test_rb_multiplier_table():
     l = build("laplacian-rb", h=0.5).operators["L"]
     w = 4.0
@@ -253,6 +259,12 @@ def test_curlcurl_parameter_validation():
     with pytest.raises(ValueError, match="sigma_h"):
         curlcurl(sigma_h=-0.01)
     assert curlcurl(sigma_h=0.0).parameters["sigma_h"] == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_curlcurl_rejects_non_finite_sigma_h(bad):
+    with pytest.raises(ValueError, match="sigma_h"):
+        curlcurl(sigma_h=bad)
 
 
 def test_curlcurl_multiplier_table():

@@ -6,8 +6,10 @@ from math import floor, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import pair_eigenvalues
+from oracles import greedy_spectrum_distance, pair_eigenvalues
 from stencilfa.crystal import Lattice, QuotientMap, StructureElement, sample_dual_torus
 from stencilfa.expr import parse
 from stencilfa.operator import (
@@ -24,6 +26,7 @@ from stencilfa.oracle import (
     check_translation_invariance,
     dense_spectrum,
     eval_dense,
+    spectrum_distance,
     translation_residual,
     wave_basis,
 )
@@ -328,3 +331,24 @@ def test_block_ordering_documented_layout():
     # the (point 0, slot 0) row couples to slot-1 entries of both points
     sym0 = rb.multiplier((0, 0))
     assert dense[0, 0] == sym0[0][0]
+
+
+# ties, signed zeros and conjugate pairs are where a vectorized matching
+# could pick another partner than the loop
+_PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0 / 3.0, 1e-16]) | st.floats(-1e3, 1e3)
+_EIG = st.builds(complex, _PART, _PART)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_spectrum_distance_matches_plain_loop(data):
+    a = data.draw(st.lists(_EIG, max_size=16))
+    if data.draw(st.booleans()):
+        # b: a reordered and nudged, the shape of a symbol-vs-dense comparison
+        nudge = st.builds(complex, st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12))
+        b = [x + data.draw(nudge) for x in data.draw(st.permutations(a))]
+    else:
+        b = data.draw(st.lists(_EIG, min_size=len(a), max_size=len(a)))
+    got = spectrum_distance(a, b)
+    assert type(got) is float
+    assert got.hex() == greedy_spectrum_distance(a, b).hex()

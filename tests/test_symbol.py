@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly_eigenvalues, fraction_symbol_at, pair_eigenvalues
+from oracles import charpoly_eigenvalues, fraction_symbol_at, pair_eigenvalues, per_sample_spectrum
 from stencilfa.crystal import DualSample, Lattice, StructureElement, sample_dual_torus
 from stencilfa.expr import parse
 from stencilfa.gallery import build
@@ -18,6 +18,7 @@ from stencilfa.operator import (
     adjoint,
     change_structure_element,
     lattice_coarsening,
+    make_compatible,
     mul,
     normalize,
 )
@@ -271,6 +272,30 @@ def test_spectrum_sorted_and_deterministic():
     res2 = compute_spectrum(parse("L"), {"L": l}, [[3, 0], [0, 3]])
     assert [r.k_frac for r in res1.records] == sorted(r.k_frac for r in res1.records)
     assert res1.records == res2.records
+
+
+@pytest.mark.parametrize(
+    "name, text, m, count",
+    [
+        ("graphene", None, [[9, 0], [0, 9]], 81),  # one full block and a ragged one
+        ("curlcurl", None, [[8, 0], [0, 8]], 64),  # exactly one block
+        ("laplacian-rb", None, [[2, 3], [2, -2]], 10),
+        ("graphene", "adj(I(S1)) - 3*I", [[3, 0], [0, 3]], 9),  # no symbol, one matrix
+    ],
+)
+def test_spectrum_matches_per_sample_walk(name, text, m, count):
+    entry = build(name)
+    expr = parse(text or entry.expression)
+    env = {k: op for k, op in entry.operators.items() if k in expr.identifiers()}
+    res = compute_spectrum(expr, env, m)
+    named = dict(zip(env, make_compatible(list(env.values()))))
+    samples = sorted(sample_dual_torus(res.lattice, m), key=lambda s: s.num)
+    eigs, rho = per_sample_spectrum(expr, named, samples, symbol_at)
+    assert len(res.records) == count
+    assert [(r.num, r.den, r.k_phys) for r in res.records] == [(s.num, s.den, s.k_phys) for s in samples]
+    # repr tells -0.0 from 0.0, so equal text is equal bits
+    assert repr([r.eigenvalues for r in res.records]) == repr(eigs)
+    assert res.rho.hex() == rho.hex()
 
 
 def test_spectrum_rho_is_max_abs():

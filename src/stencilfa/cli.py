@@ -36,7 +36,7 @@ from .oracle import (
     dense_spectrum,
     spectrum_distance,
     translation_residual,
-    wave_basis,
+    wave_gram_residual,
 )
 from .symbol import SpectrumResult, compute_spectrum, eigenvalues, symbol_at
 
@@ -572,11 +572,7 @@ def _verify_checks(operators, resolution) -> list[tuple[str, float, float]]:
             if key in seen:
                 continue
             seen.add(key)
-            vecs = wave_basis(op.lattice, resolution, se)
-            w = np.stack(vecs, axis=1)
-            cells = len(vecs) // len(se)
-            gram = w.conj().T @ w / cells
-            residual = float(np.abs(gram - np.eye(len(vecs))).max())
+            residual = wave_gram_residual(op.lattice, resolution)
             checks.append((f"wave basis Gram  {name}/{side}", residual, GRAM_TOL))
     return checks
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import fraction_symbol_at, pair_eigenvalues
+from stencilfa import cli
 from stencilfa.cli import _k_frac_text, load_operator_file, main
 from stencilfa.gallery import build
 from stencilfa.oracle import assemble_dense, dense_spectrum
@@ -395,6 +396,18 @@ def test_verify_gallery_entries_pass(capsys):
     code, out, _ = run(capsys, "verify", "--example", "graphene", "--resolution", "3")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_catches_a_wrong_symbol_route(capsys, monkeypatch):
+    right = cli.symbol_at
+    monkeypatch.setattr(cli, "symbol_at", lambda op, sample: right(op, sample) * (1 + 1e-6))
+    code, out, _ = run(capsys, "verify", "--example", "graphene", "--resolution", "4")
+    assert code != 0
+    status = {line[:44].rstrip(): line.split()[-1] for line in out.splitlines()}
+    # L couples every torus point; S1's dense matrix splits into small blocks
+    assert status["symbol vs dense spectrum  L"] == "FAIL"
+    assert status["symbol vs dense spectrum  S1"] == "FAIL"
+    assert status["translation invariance  S1"] == "pass"
 
 
 def test_verify_torus_above_dense_cap_is_an_error_line(capsys):

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import greedy_spectrum_distance, pair_eigenvalues
+from stencilfa.cli import GRAM_TOL
 from stencilfa.crystal import Lattice, QuotientMap, StructureElement, sample_dual_torus
 from stencilfa.expr import parse
+from stencilfa.gallery import build
 from stencilfa.operator import (
     MultiplicationOperator,
     identity_operator,
@@ -29,6 +31,7 @@ from stencilfa.oracle import (
     spectrum_distance,
     translation_residual,
     wave_basis,
+    wave_gram_residual,
 )
 from stencilfa.symbol import symbol_at
 
@@ -99,6 +102,57 @@ def test_dense_spectrum_trivial_cases():
 
     evs = dense_spectrum(assemble_dense(scale(0.0 + 0j, zero), [[2, 0], [0, 2]]))
     assert max(abs(ev) for ev in evs) < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_dense_spectrum_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="dense spectrum needs a square matrix"):
+        dense_spectrum(np.ones(shape))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_dense_spectrum_equals_eigvals_of_whole_matrix(data):
+    # random diagonal blocks under a random symmetric permutation; the
+    # all-zero blocks stay uncoupled, giving all-zero rows and columns
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    a = np.zeros((n, n), dtype=complex)
+    live: list[int] = []
+    start = 0
+    for size in sizes:
+        if data.draw(st.booleans()):
+            a[start:start + size, start:start + size] = rng.standard_normal(
+                (size, size)
+            ) + 1j * rng.standard_normal((size, size))
+            live.extend(range(start, start + size))
+        start += size
+    # chains of one-way couplings between live indices (A[i, j] set only
+    # while A[j, i] is zero), some closed into rings: a ring through blocks
+    # joins them into one component although none of its entries has a
+    # nonzero mirror
+    if live:
+        chain = st.lists(st.sampled_from(live), min_size=1, max_size=4, unique=True)
+        for path in data.draw(st.lists(chain, max_size=3)):
+            if data.draw(st.booleans()):
+                path = path + path[:1]
+            for i, j in zip(path, path[1:]):
+                if a[j, i] == 0:
+                    a[i, j] = rng.standard_normal()
+    connected = data.draw(st.booleans())
+    if connected:
+        a += rng.standard_normal((n, n))
+    perm = data.draw(st.permutations(range(n)))
+    a = a[np.ix_(perm, perm)]
+
+    got = dense_spectrum(a)
+    want = np.linalg.eigvals(a)
+    assert len(got) == n
+    assert spectrum_distance(got, want) <= 1e-12 * np.linalg.norm(a)
+    if connected:
+        # one component: the very same eigvals call on the whole matrix
+        assert got == [complex(v) for v in want]
 
 
 def test_dense_spectrum_matches_symbol_union():
@@ -210,6 +264,35 @@ def test_wave_basis_exact_at_half_and_quarter_turns():
             assert entries <= {1, -1}
     half = vecs[[s.k_frac for s in samples].index((Fraction(1, 2), 0))]
     assert set(half.tolist()) == {1, -1}
+
+
+def _full_gram_residual(a, m, se):
+    vecs = wave_basis(a, m, se)
+    w = np.stack(vecs, axis=1)
+    gram = w.conj().T @ w / (len(vecs) // len(se))
+    return float(np.abs(gram - np.eye(len(vecs))).max())
+
+
+def _gallery_spaces(example):
+    ops = build(example).operators.values()
+    return [(op.lattice, se) for op in ops for se in (op.domain_se, op.codomain_se)]
+
+
+@pytest.mark.parametrize(
+    "spaces, m",
+    [
+        (_gallery_spaces("laplacian-rb"), [[2, 3], [2, -2]]),
+        (_gallery_spaces("graphene"), [[4, 0], [0, 4]]),
+        ([(SQUARE, StructureElement([(0, 0), ("1/3", 0), (0, "1/2")]))], [[3, 1], [-1, 4]]),
+    ],
+    ids=["laplacian-rb-skew", "graphene-4", "three-slots"],
+)
+def test_wave_gram_residual_matches_full_basis(spaces, m, monkeypatch):
+    for a, se in spaces:
+        assert abs(wave_gram_residual(a, m) - _full_gram_residual(a, m, se)) <= 1e-15
+    monkeypatch.setattr("stencilfa.oracle._QUARTER_TURNS", np.array([1, 1j, -1, 1j]))
+    for a, _ in spaces:
+        assert wave_gram_residual(a, m) > GRAM_TOL
 
 
 def test_harmonic_invariance():

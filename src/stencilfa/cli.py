@@ -557,9 +557,8 @@ def _verify_checks(operators, resolution) -> list[tuple[str, float, float]]:
         invariance.append((f"translation invariance  {name}", residual, INVARIANCE_TOL))
         if dense is None:
             continue
-        union: list[complex] = []
-        for sample in sample_dual_torus(op.lattice, resolution):
-            union.extend(eigenvalues(symbol_at(op, sample)))
+        symbols = np.array([symbol_at(op, s) for s in sample_dual_torus(op.lattice, resolution)])
+        union = [v for vals in eigenvalues(symbols) for v in vals]
         spectra.append(
             (f"symbol vs dense spectrum  {name}", spectrum_distance(union, dense), SPECTRUM_TOL)
         )

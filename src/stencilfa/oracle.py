@@ -6,11 +6,18 @@ finite torus L(A)/L(Z) with Z = A*M.  Rows and columns are indexed by
 points in the canonical quotient listing.  The union of the symbol spectra
 over the sampled dual torus must equal the spectrum of this matrix, which is
 what the high-level tests assert; none of the frequency-space code is used
-to build it.  dense_spectrum splits the matrix into the connected components
-of its symmetrized nonzero pattern and takes eigenvalues block by block, and
-the wave-basis Gram check is taken on the (samples, points) phase matrix the
-basis is built from; both give the whole-matrix answer without its cubic
-cost.
+to build it.
+
+Beyond one scan of a matrix for its nonzeros, only the eigenvalues of its
+connected blocks take whole-block arithmetic.  Assembly maps the torus
+points along each offset by composing the unit-step permutations of the
+torus and adds a multiplier into all its blocks at once.
+translation_residual takes the commutator norm over the nonzeros of the
+matrix and of its translate.  dense_spectrum splits the matrix into the
+connected components of its symmetrized nonzero pattern and makes one
+stacked eigvals call per block size, and the wave-basis Gram check is taken
+on the (samples, points) phase matrix the basis is built from.  Each gives
+the whole-matrix answer bit for bit, or to rounding for the norms.
 
 Sizes are deliberately capped (|det M| <= 10^4 block rows): this module is
 for desk-scale verification, not production runs.
@@ -37,53 +44,90 @@ def _torus_quotient(a: Lattice, m) -> QuotientMap:
     return QuotientMap(mm)
 
 
+def _unit_steps(qm: QuotientMap) -> list[np.ndarray]:
+    """Per axis, the torus permutation of one primitive step: entry i is the
+    index of reps[i] + e_axis."""
+    return [
+        np.array([qm.index[qm.residue(rep[:axis] + (rep[axis] + 1,) + rep[axis + 1:])] for rep in qm.reps])
+        for axis in range(qm.n)
+    ]
+
+
 def assemble_dense(l: MultiplicationOperator, m) -> np.ndarray:
     """Dense matrix of L on the torus with Z = A*M.
 
     Block (i, j) accumulates every multiplier whose offset connects torus
     point i to torus point j modulo L(Z); periodic wrap-around merges offsets
-    that become equivalent on the finite torus.
+    that become equivalent on the finite torus.  An offset's point map is
+    the product of the unit-step permutations (inverses for negative steps),
+    and each multiplier is added into all its blocks at once, offsets in
+    ``multipliers`` order, so every block sums in that order.
     """
     qm = _torus_quotient(l.lattice, m)
+    steps = _unit_steps(qm)
+    back = [np.argsort(step) for step in steps]
     n_pts = len(qm.reps)
     mc, md = l.shape
-    out = np.zeros((n_pts * mc, n_pts * md), dtype=complex)
-    for i, rep in enumerate(qm.reps):
-        for off, mat in l.multipliers.items():
-            x = tuple(r + o for r, o in zip(rep, off))
-            j = qm.index[qm.residue(x)]
-            out[i * mc:(i + 1) * mc, j * md:(j + 1) * md] += mat
-    return out
+    out = np.zeros((n_pts, mc, n_pts, md), dtype=complex)
+    points = np.arange(n_pts)
+    for off, mat in l.multipliers.items():
+        target = points
+        for o, fwd, bwd in zip(off, steps, back):
+            # a step permutation's order divides n_pts
+            for _ in range(abs(o) % n_pts):
+                target = (fwd if o > 0 else bwd)[target]
+        # (i, target[i]) are distinct pairs, so the buffered += is exact
+        out[points, :, target, :] += mat
+    return out.reshape(n_pts * mc, n_pts * md)
+
+
+def _nonzeros(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a 2-D matrix's nonzeros in row-major order.
+
+    Same as np.nonzero, which is ten times slower on an 800x800 mask than a
+    flat search split by divmod."""
+    return np.divmod(np.flatnonzero(matrix != 0), matrix.shape[1])
 
 
 def dense_spectrum(matrix: np.ndarray) -> list[complex]:
-    """Eigenvalues of a square matrix, one eigvals call per connected block.
+    """Eigenvalues of a square matrix, taken block by connected block.
 
     Indices i and j are linked when A[i, j] or A[j, i] is nonzero.  A
     symmetric permutation onto the connected components makes A block
     diagonal, and the spectrum of a block-diagonal matrix is the union of its
     blocks' spectra, so this is exact; it only skips the cubic work across
     blocks that never couple (a block smoother's torus matrix splits into
-    many small ones).
+    many small ones).  Components are found by min-label propagation over the
+    nonzeros, and the blocks of each size share one stacked eigvals call.
+    The values come per component in order of its smallest index, each
+    component's in LAPACK order for the block on its ascending indices.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("dense spectrum needs a square matrix")
-    nonzero = matrix != 0
-    linked = nonzero | nonzero.T
-    unseen = np.ones(len(matrix), dtype=bool)
-    eigs: list[complex] = []
-    while unseen.any():
-        block = np.zeros_like(unseen)
-        frontier = block.copy()
-        frontier[np.argmax(unseen)] = True
-        while frontier.any():
-            block |= frontier
-            frontier = linked[frontier].any(axis=0) & ~block
-        unseen &= ~block
-        idx = np.flatnonzero(block)
-        eigs.extend(complex(v) for v in np.linalg.eigvals(matrix[np.ix_(idx, idx)]))
-    return eigs
+    rows, cols = _nonzeros(matrix)
+    # labels[i] stays an index of i's component and never grows; at the
+    # fixed point it is the smallest index of the component
+    labels = np.arange(len(matrix))
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    sizes = np.unique(labels, return_counts=True)[1]
+    starts = np.cumsum(sizes) - sizes
+    per_block: list[list[complex]] = [[] for _ in sizes]
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        idx = order[starts[which, None] + np.arange(size)]
+        blocks = matrix[idx[:, :, None], idx[:, None, :]]
+        for k, vals in zip(which, np.linalg.eigvals(blocks).astype(complex, copy=False).tolist()):
+            per_block[k] = vals
+    return [v for vals in per_block for v in vals]
 
 
 def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
@@ -128,16 +172,30 @@ def translation_residual(matrix: np.ndarray, a: Lattice, m, shape: tuple[int, in
 
     With T the block permutation of one primitive step, ||A T - T A|| equals
     ||A - T A T^-1||, and T A T^-1 is A with rows and columns re-indexed.
+    Both are zero away from A's nonzeros and their re-indexed images, so the
+    norm is taken over those positions only.
     """
     qm = _torus_quotient(a, m)
+    n_pts = len(qm.reps)
     mc, md = shape
+    expected = (n_pts * mc, n_pts * md)
+    matrix = np.asarray(matrix)
+    if matrix.shape != expected:
+        raise ValueError(
+            f"torus matrix has shape {matrix.shape}, expected {expected} "
+            f"for {n_pts} torus points and blocks {shape}"
+        )
+    nz_rows, nz_cols = _nonzeros(matrix)
+    values = matrix[nz_rows, nz_cols]
     worst = 0.0
-    for axis in range(a.dim):
-        step = [rep[:axis] + (rep[axis] + 1,) + rep[axis + 1:] for rep in qm.reps]
-        perm = np.array([qm.index[qm.residue(x)] for x in step])
+    for perm in _unit_steps(qm):
         rows = (perm[:, None] * mc + np.arange(mc)).ravel()
         cols = (perm[:, None] * md + np.arange(md)).ravel()
-        worst = max(worst, float(np.linalg.norm(matrix - matrix[np.ix_(rows, cols)])))
+        # T A T^-1 holds A[rows[x], cols[y]] at (x, y): the gaps at A's
+        # nonzeros, then the images that land where A is zero
+        moved = matrix[np.argsort(rows)[nz_rows], np.argsort(cols)[nz_cols]]
+        gaps = np.concatenate([values - matrix[rows[nz_rows], cols[nz_cols]], values[moved == 0]])
+        worst = max(worst, float(np.linalg.norm(gaps)))
     return worst
 
 
@@ -162,13 +220,15 @@ def eval_dense(expr, env, m) -> np.ndarray:
 
 
 def spectrum_distance(eigs_a, eigs_b) -> float:
-    """Largest gap in a greedy closest-pair matching of two eigenvalue lists.
+    """Largest gap in a greedy matching of two eigenvalue lists.
 
     Sorting by (re, im) and zipping is unstable for conjugate pairs whose real
-    parts agree to rounding, so the multisets are compared by repeatedly
-    pairing the globally closest remaining values instead.  Gaps are taken
-    with hypot, which is what abs of a Python complex computes, so ties and
-    the result are those of a loop over Python's abs, bit for bit.
+    parts agree to rounding, so the values of eigs_a are taken in order of
+    decreasing modulus (ties by re, then im) and each is paired with its
+    nearest remaining value of eigs_b, the first one in list order on ties.
+    Gaps are taken with hypot, which is what abs of a Python complex
+    computes, so ties and the result are those of a loop over Python's abs,
+    bit for bit.
     """
     a = [complex(e) for e in eigs_a]
     rest = np.array([complex(e) for e in eigs_b], dtype=complex)

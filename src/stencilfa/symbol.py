@@ -26,7 +26,7 @@ evaluate the expression on the symbol matrices at every sample, and collect
 eigenvalues.  Results are sorted by k_frac.  The samples are taken in blocks
 of 64: each operator's symbol_at matrices are stacked to (N, rows, cols), the
 expression is walked once over the stacks (pinv still calls pinv_matrix once
-per matrix), and one np.linalg.eigvals call covers the block.  Every step
+per matrix), and one eigenvalues call covers the block.  Every step
 acts matrix by matrix, so the records are bit-identical to a per-sample loop.
 """
 
@@ -122,11 +122,13 @@ def pinv_matrix(
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def eigenvalues(mtx) -> list[complex]:
+def eigenvalues(mtx) -> list:
+    """Eigenvalues of a square matrix in LAPACK order; for a (..., n, n)
+    stack, nested lists with one list per matrix."""
     arr = np.asarray(mtx, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ValueError("eigenvalues need a square matrix")
-    return [complex(v) for v in np.linalg.eigvals(arr)]
+    return np.linalg.eigvals(arr).tolist()
 
 
 def _frac_text(k_frac) -> str:
@@ -156,7 +158,7 @@ def _block_records(expr, named, block: list[DualSample]) -> list[SpectrumRecord]
     value = np.broadcast_to(value, (len(block),) + value.shape[-2:])
     return [
         SpectrumRecord(s.num, s.den, s.k_phys, tuple(sorted(eigs, key=lambda z: (z.real, z.imag))))
-        for s, eigs in zip(block, np.linalg.eigvals(value).tolist())
+        for s, eigs in zip(block, eigenvalues(value))
     ]
 
 

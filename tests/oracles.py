@@ -209,3 +209,42 @@ def greedy_spectrum_distance(eigs_a, eigs_b) -> float:
         nearest = min(range(len(rest)), key=lambda i: abs(rest[i] - e))
         worst = max(worst, abs(rest.pop(nearest) - e))
     return worst
+
+
+def per_point_assemble_dense(l, qm) -> np.ndarray:
+    """The dense torus matrix of l the per-point way: for each torus point
+    and each offset in ``multipliers`` order, the target point's residue is
+    looked up and the multiplier added into that block.  qm is the torus
+    QuotientMap, passed in."""
+    n_pts = len(qm.reps)
+    mc, md = l.shape
+    out = np.zeros((n_pts * mc, n_pts * md), dtype=complex)
+    for i, rep in enumerate(qm.reps):
+        for off, mat in l.multipliers.items():
+            x = tuple(r + o for r, o in zip(rep, off))
+            j = qm.index[qm.residue(x)]
+            out[i * mc:(i + 1) * mc, j * md:(j + 1) * md] += mat
+    return out
+
+
+def bfs_dense_spectrum(matrix) -> list[complex]:
+    """Eigenvalues of a square matrix one connected block at a time: a BFS
+    over boolean rows of the symmetrized nonzero pattern, started at the
+    smallest unseen index, then one eigvals call on the block's ascending
+    indices."""
+    matrix = np.asarray(matrix)
+    nonzero = matrix != 0
+    linked = nonzero | nonzero.T
+    unseen = np.ones(len(matrix), dtype=bool)
+    eigs: list[complex] = []
+    while unseen.any():
+        block = np.zeros_like(unseen)
+        frontier = block.copy()
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            block |= frontier
+            frontier = linked[frontier].any(axis=0) & ~block
+        unseen &= ~block
+        idx = np.flatnonzero(block)
+        eigs.extend(complex(v) for v in np.linalg.eigvals(matrix[np.ix_(idx, idx)]))
+    return eigs

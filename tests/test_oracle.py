@@ -1,15 +1,21 @@
 """Dense torus assembly and cross-validation oracle tests."""
 
 import cmath
+import re
 from fractions import Fraction
 from math import floor, pi
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_spectrum_distance, pair_eigenvalues
+from oracles import (
+    bfs_dense_spectrum,
+    greedy_spectrum_distance,
+    pair_eigenvalues,
+    per_point_assemble_dense,
+)
 from stencilfa.cli import GRAM_TOL
 from stencilfa.crystal import Lattice, QuotientMap, StructureElement, sample_dual_torus
 from stencilfa.expr import parse
@@ -92,6 +98,53 @@ def test_masked_central_block_diagonal():
     assert np.allclose(dense, want, atol=1e-14)
 
 
+_GALLERY_TORI = [("graphene", 4), ("curlcurl", 3), ("laplacian-rb", [[2, 3], [2, -2]])]
+
+
+def _draw_resolution(data, dim: int) -> list[list[int]]:
+    """A random nonsingular resolution matrix, skew more often than not,
+    with at most 40 torus points."""
+    m = data.draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    )
+    assume(0 < abs(round(np.linalg.det(np.array(m, dtype=float)))) <= 40)
+    return m
+
+
+def _draw_operator(data, dim: int) -> MultiplicationOperator:
+    """A random operator on Z^dim: rectangular blocks, negative offsets and
+    offsets longer than any torus side, so wrap-around merges some."""
+    mc, md = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    offsets = data.draw(
+        st.lists(st.tuples(*[st.integers(-7, 7)] * dim), min_size=1, max_size=8, unique=True)
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def se(k):
+        return StructureElement([(i / 4,) + (0.0,) * (dim - 1) for i in range(k)])
+
+    mult = {off: rng.standard_normal((mc, md)) + 1j * rng.standard_normal((mc, md)) for off in offsets}
+    return MultiplicationOperator(Lattice(np.eye(dim)), se(md), se(mc), mult)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_assemble_dense_equals_per_point_loop(data):
+    dim = data.draw(st.integers(1, 3))
+    m = _draw_resolution(data, dim)
+    l = _draw_operator(data, dim)
+    got = assemble_dense(l, m)
+    assert np.array_equal(got, per_point_assemble_dense(l, QuotientMap(m)))
+
+
+@pytest.mark.parametrize("example, res", _GALLERY_TORI)
+def test_assemble_dense_of_gallery_operators_equals_per_point_loop(example, res):
+    m = res * np.eye(2, dtype=int) if isinstance(res, int) else res
+    qm = QuotientMap([[int(x) for x in row] for row in m])
+    for op in build(example).operators.values():
+        assert np.array_equal(assemble_dense(op, m), per_point_assemble_dense(op, qm))
+
+
 def test_dense_spectrum_trivial_cases():
     ident = identity_operator(SQUARE, POINT)
     evs = dense_spectrum(assemble_dense(ident, [[2, 0], [0, 3]]))
@@ -110,11 +163,11 @@ def test_dense_spectrum_rejects_non_square(shape):
         dense_spectrum(np.ones(shape))
 
 
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_dense_spectrum_equals_eigvals_of_whole_matrix(data):
-    # random diagonal blocks under a random symmetric permutation; the
-    # all-zero blocks stay uncoupled, giving all-zero rows and columns
+def _draw_block_matrix(data) -> tuple[np.ndarray, bool]:
+    """Random diagonal blocks under a random symmetric permutation, and
+    whether a dense random matrix was added on top (one component).
+
+    The all-zero blocks stay uncoupled, giving all-zero rows and columns."""
     sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n = sum(sizes)
@@ -144,8 +197,14 @@ def test_dense_spectrum_equals_eigvals_of_whole_matrix(data):
     if connected:
         a += rng.standard_normal((n, n))
     perm = data.draw(st.permutations(range(n)))
-    a = a[np.ix_(perm, perm)]
+    return a[np.ix_(perm, perm)], connected
 
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_dense_spectrum_equals_eigvals_of_whole_matrix(data):
+    a, connected = _draw_block_matrix(data)
+    n = len(a)
     got = dense_spectrum(a)
     want = np.linalg.eigvals(a)
     assert len(got) == n
@@ -153,6 +212,26 @@ def test_dense_spectrum_equals_eigvals_of_whole_matrix(data):
     if connected:
         # one component: the very same eigvals call on the whole matrix
         assert got == [complex(v) for v in want]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_dense_spectrum_equals_per_component_bfs(data):
+    # bit for bit: same values in the same order, real matrices included
+    # (their blocks take the real LAPACK route)
+    a, _ = _draw_block_matrix(data)
+    if data.draw(st.booleans()):
+        a = a.real.copy()
+    assert dense_spectrum(a) == bfs_dense_spectrum(a)
+
+
+@pytest.mark.parametrize("example, res", _GALLERY_TORI)
+def test_dense_spectrum_of_gallery_operators_equals_per_component_bfs(example, res):
+    m = res * np.eye(2, dtype=int) if isinstance(res, int) else res
+    for op in build(example).operators.values():
+        if op.domain_se == op.codomain_se:
+            dense = assemble_dense(op, m)
+            assert dense_spectrum(dense) == bfs_dense_spectrum(dense)
 
 
 def test_dense_spectrum_matches_symbol_union():
@@ -369,6 +448,30 @@ def test_translation_residual_matches_dense_permutation_formula():
     resid = translation_residual(bad, SQUARE, m, shape)
     assert resid > 1.0
     assert resid == pytest.approx(dense_permutation_residual(bad, 2, m, shape), rel=1e-12)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_translation_residual_matches_dense_permutation_on_sparse_matrices(data):
+    dim = data.draw(st.integers(1, 3))
+    m = _draw_resolution(data, dim)
+    mc, md = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    n_pts = len(QuotientMap(m).reps)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = (n_pts * mc, n_pts * md)
+    density = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    matrix = np.where(rng.random(size) < density, rng.standard_normal(size) + 1j * rng.standard_normal(size), 0)
+    lattice = Lattice(np.eye(dim))
+    got = translation_residual(matrix, lattice, m, (mc, md))
+    assert got == pytest.approx(dense_permutation_residual(matrix, dim, m, (mc, md)), rel=1e-12)
+
+
+@pytest.mark.parametrize("size, shape", [((21, 31), (2, 3)), ((20, 30), (3, 2)), ((10, 10), (2, 3))])
+def test_translation_residual_rejects_wrong_matrix_size(size, shape):
+    m = [[2, 3], [2, -2]]  # 10 torus points
+    expected = (10 * shape[0], 10 * shape[1])
+    with pytest.raises(ValueError, match=re.escape(f"expected {expected}")):
+        translation_residual(np.ones(size), SQUARE, m, shape)
 
 
 # ------------------------------------------------------------- composition

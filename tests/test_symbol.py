@@ -235,6 +235,28 @@ def test_eigenvalues_rejects_nonsquare():
         eigenvalues(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(3,), (4, 2, 3)])
+def test_eigenvalues_rejects_vector_and_nonsquare_stack(shape):
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.ones(shape))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), count=st.integers(0, 6), real=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_eigenvalues_of_a_stack_equal_one_call_per_matrix(seed, n, count, real):
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(count, n, n))
+    if not real:
+        stack = stack + 1j * rng.normal(size=(count, n, n))
+    got = eigenvalues(stack)
+    # a 2-D input gives the Python complex values of one eigvals call on
+    # the complex matrix, and a stack one such list per matrix
+    want = [[complex(v) for v in np.linalg.eigvals(m.astype(complex))] for m in stack]
+    assert got == want
+    assert all(type(v) is complex for vals in got for v in vals)
+    assert [eigenvalues(m) for m in stack] == want
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
 def test_eigenvalues_against_charpoly_roots(seed, n):

@@ -34,7 +34,7 @@ from .operator import (
     scale,
     triangular_splitting,
 )
-from .oracle import assemble_dense, check_translation_invariance, eval_dense, wave_basis
+from .oracle import assemble_dense, eval_dense, wave_basis
 from .symbol import (
     SpectrumRecord,
     SpectrumResult,
@@ -60,7 +60,6 @@ __all__ = [
     "assemble_dense",
     "build",
     "change_structure_element",
-    "check_translation_invariance",
     "compute_spectrum",
     "dual_basis",
     "entry_names",

@@ -166,7 +166,8 @@ class QuotientMap:
     """Exact residue arithmetic for Z^n / rel*Z^n, rel a nonsingular integer matrix.
 
     ``reps`` is the canonical listing of the |det rel| residue classes;
-    ``locate`` decomposes any integer vector x as reps[k] + rel*z.
+    ``locate`` decomposes any integer vector x as reps[k] + rel*z, and
+    ``indices`` gives the listing index of every row of an integer array.
     """
 
     def __init__(self, rel):
@@ -176,7 +177,7 @@ class QuotientMap:
         # mixed-radix counter over diag(H), first coordinate fastest
         radices = [range(self.h[l][l]) for l in reversed(range(self.n))]
         self.reps = [digits[::-1] for digits in product(*radices)]
-        self.index = {r: k for k, r in enumerate(self.reps)}
+        self.strides = tuple(prod(self.h[l][l] for l in range(axis)) for axis in range(self.n))
 
     def _reduce(self, x) -> tuple[tuple[int, ...], list[int]]:
         # x = r + H*q with r inside the box [0, H_11) x ... x [0, H_nn)
@@ -195,7 +196,21 @@ class QuotientMap:
         """Index k and integer z such that x = reps[k] + rel*z (z = U*q)."""
         rep, q = self._reduce(x)
         z = tuple(sum(u * c for u, c in zip(row, q)) for row in self.u)
-        return self.index[rep], z
+        return sum(map(mul, rep, self.strides)), z
+
+    def indices(self, points) -> np.ndarray:
+        """Listing index of each row of an (N, n) integer array, as int64.
+
+        Rows are reduced into the box like ``residue`` and read in the
+        mixed-radix strides of diag(H).  Residues lie below |det rel| and the
+        listing enumerates |det rel| points, so int64 is exact for points
+        near the box, such as a representative plus a residue.
+        """
+        h = np.array(self.h, dtype=np.int64)
+        r = np.array(points, dtype=np.int64)
+        for col in range(self.n - 1, -1, -1):
+            r[:, :col + 1] -= (r[:, col] // h[col, col])[:, None] * h[:col + 1, col]
+        return r @ np.array(self.strides, dtype=np.int64)
 
 
 def lcm_lattice(a: Lattice, b: Lattice) -> Lattice:
@@ -241,8 +256,9 @@ def sample_dual_torus(a: Lattice, m) -> list[DualSample]:
     """
     mm, d = integer_resolution(a, m)
     mt = [list(col) for col in zip(*mm)]
-    num = [[int(x * d) for x in row] for row in mat_inv(mt)]  # d*M^-T, integral
-    nums = [tuple(sum(map(mul, row, j)) % d for row in num) for j in QuotientMap(mt).reps]
-    # d samples are listed, so d and every numerator convert to float exactly
-    k_phys = (np.array(nums) / d) @ dual_basis(a).basis.T
-    return [DualSample(k, d, tuple(p)) for k, p in zip(nums, k_phys.tolist())]
+    num = np.array([[int(x * d) % d for x in row] for row in mat_inv(mt)])  # d*M^-T mod d
+    # d samples are listed and every entry of reps and num is below d, so the
+    # products stay far inside int64 and d and every numerator are exact floats
+    nums = np.array(QuotientMap(mt).reps) @ num.T % d
+    k_phys = (nums / d) @ dual_basis(a).basis.T
+    return [DualSample(k, d, tuple(p)) for k, p in zip(map(tuple, nums.tolist()), k_phys.tolist())]

@@ -9,9 +9,9 @@ what the high-level tests assert; none of the frequency-space code is used
 to build it.
 
 Beyond one scan of a matrix for its nonzeros, only the eigenvalues of its
-connected blocks take whole-block arithmetic.  Assembly maps the torus
-points along each offset by composing the unit-step permutations of the
-torus and adds a multiplier into all its blocks at once.
+connected blocks take whole-block arithmetic.  Assembly maps all torus
+points along an offset with one QuotientMap.indices call and adds the
+multiplier into all its blocks at once.
 translation_residual takes the commutator norm over the nonzeros of the
 matrix and of its translate.  dense_spectrum splits the matrix into the
 connected components of its symmetrized nonzero pattern and makes one
@@ -44,38 +44,25 @@ def _torus_quotient(a: Lattice, m) -> QuotientMap:
     return QuotientMap(mm)
 
 
-def _unit_steps(qm: QuotientMap) -> list[np.ndarray]:
-    """Per axis, the torus permutation of one primitive step: entry i is the
-    index of reps[i] + e_axis."""
-    return [
-        np.array([qm.index[qm.residue(rep[:axis] + (rep[axis] + 1,) + rep[axis + 1:])] for rep in qm.reps])
-        for axis in range(qm.n)
-    ]
-
-
 def assemble_dense(l: MultiplicationOperator, m) -> np.ndarray:
     """Dense matrix of L on the torus with Z = A*M.
 
     Block (i, j) accumulates every multiplier whose offset connects torus
     point i to torus point j modulo L(Z); periodic wrap-around merges offsets
     that become equivalent on the finite torus.  An offset's point map is
-    the product of the unit-step permutations (inverses for negative steps),
+    the listing index of every representative plus the offset's residue,
     and each multiplier is added into all its blocks at once, offsets in
     ``multipliers`` order, so every block sums in that order.
     """
     qm = _torus_quotient(l.lattice, m)
-    steps = _unit_steps(qm)
-    back = [np.argsort(step) for step in steps]
-    n_pts = len(qm.reps)
+    reps = np.array(qm.reps)
+    n_pts = len(reps)
     mc, md = l.shape
     out = np.zeros((n_pts, mc, n_pts, md), dtype=complex)
     points = np.arange(n_pts)
     for off, mat in l.multipliers.items():
-        target = points
-        for o, fwd, bwd in zip(off, steps, back):
-            # a step permutation's order divides n_pts
-            for _ in range(abs(o) % n_pts):
-                target = (fwd if o > 0 else bwd)[target]
+        # residue reduces the offset in Python ints, so any offset is exact
+        target = qm.indices(reps + qm.residue(off))
         # (i, target[i]) are distinct pairs, so the buffered += is exact
         out[points, :, target, :] += mat
     return out.reshape(n_pts * mc, n_pts * md)
@@ -188,7 +175,8 @@ def translation_residual(matrix: np.ndarray, a: Lattice, m, shape: tuple[int, in
     nz_rows, nz_cols = _nonzeros(matrix)
     values = matrix[nz_rows, nz_cols]
     worst = 0.0
-    for perm in _unit_steps(qm):
+    for step in np.eye(qm.n, dtype=np.int64):
+        perm = qm.indices(np.array(qm.reps) + step)
         rows = (perm[:, None] * mc + np.arange(mc)).ravel()
         cols = (perm[:, None] * md + np.arange(md)).ravel()
         # T A T^-1 holds A[rows[x], cols[y]] at (x, y): the gaps at A's
@@ -197,11 +185,6 @@ def translation_residual(matrix: np.ndarray, a: Lattice, m, shape: tuple[int, in
         gaps = np.concatenate([values - matrix[rows[nz_rows], cols[nz_cols]], values[moved == 0]])
         worst = max(worst, float(np.linalg.norm(gaps)))
     return worst
-
-
-def check_translation_invariance(l: MultiplicationOperator, m) -> float:
-    """Max Frobenius norm of the commutator with the primitive translations."""
-    return translation_residual(assemble_dense(l, m), l.lattice, m, l.shape)
 
 
 def eval_dense(expr, env, m) -> np.ndarray:

@@ -142,6 +142,17 @@ def fraction_k_phys(dual_basis, num, den) -> np.ndarray:
     return dual_basis @ np.array([float(Fraction(n, den)) for n in num])
 
 
+def per_sample_numerators(m, reps) -> list[tuple[int, ...]]:
+    """Dual-torus numerators the per-sample way: with d = |det M| and the
+    exact integer matrix d*M^-T, one Python inner product per listed
+    representative j of Z^n / M^T Z^n, each reduced mod d.  reps is that
+    listing, passed in."""
+    mt = [[Fraction(x) for x in col] for col in zip(*m)]
+    d = abs(int(_det(mt)))
+    num = [[int(x * d) for x in row] for row in _invert(mt)]
+    return [tuple(sum(a * b for a, b in zip(row, j)) % d for row in num) for j in reps]
+
+
 def per_sample_spectrum(expr, named, samples, symbol_at):
     """A spectrum the per-sample way: for each sample, every operator's
     symbol, one walk over the 2-D matrices and one eigvals call, eigenvalues
@@ -222,7 +233,7 @@ def per_point_assemble_dense(l, qm) -> np.ndarray:
     for i, rep in enumerate(qm.reps):
         for off, mat in l.multipliers.items():
             x = tuple(r + o for r, o in zip(rep, off))
-            j = qm.index[qm.residue(x)]
+            j = qm.reps.index(qm.residue(x))
             out[i * mc:(i + 1) * mc, j * md:(j + 1) * md] += mat
     return out
 

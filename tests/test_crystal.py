@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stencilfa.crystal import (
@@ -21,7 +21,7 @@ from stencilfa.crystal import (
 )
 from stencilfa.intlat import det_exact, mat_inv
 
-from oracles import fraction_k_phys, intersection_determinant
+from oracles import fraction_k_phys, intersection_determinant, per_sample_numerators
 
 
 def test_lattice_rejects_singular_basis():
@@ -230,6 +230,8 @@ def test_dual_samples_are_the_integer_dual_torus(case):
     samples = sample_dual_torus(a, m)
     assert len(samples) == d
     assert len({s.num for s in samples}) == d
+    reps = QuotientMap([list(col) for col in zip(*m)]).reps
+    assert [s.num for s in samples] == per_sample_numerators(m, reps)
     dual = dual_basis(a).basis
     for s in samples:
         assert s.den == d and len(s.num) == n
@@ -239,6 +241,36 @@ def test_dual_samples_are_the_integer_dual_torus(case):
         assert s.k_frac == tuple(Fraction(x, d) for x in s.num)
         # bit for bit the per-sample product of the float fractions
         assert np.array(s.k_phys).tobytes() == fraction_k_phys(dual, s.num, s.den).tobytes()
+
+
+@pytest.mark.parametrize("m", [[[3, 2**62], [0, 5]], [[2**62, 2**62 - 1], [1, 1]]])
+def test_dual_sample_numerators_with_entries_near_int64_limit(m):
+    # d*M^-T holds -2^62 for the first, so it must be reduced mod d before
+    # the product with the listing
+    reps = QuotientMap([list(col) for col in zip(*m)]).reps
+    samples = sample_dual_torus(Lattice([[1, 0], [0, 1]]), m)
+    assert [s.num for s in samples] == per_sample_numerators(m, reps)
+
+
+@st.composite
+def relations_and_far_points(draw):
+    n = draw(st.integers(1, 3))
+    rel = draw(small_int_matrices(n, -4, 4))
+    far = st.integers(-(10**9), 10**9)
+    points = draw(st.lists(st.lists(far, min_size=n, max_size=n), min_size=1, max_size=20))
+    return rel, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations_and_far_points())
+@example(([[2, 3], [2, -2]], [[10**9, -(10**9)], [-(10**9), 10**9], [0, 0], [9, 9]]))
+@example(([[1, 2, 0], [0, -3, 1], [2, 0, 4]], [[-(10**9), 7, 10**9], [10**9, -(10**9), -1]]))
+def test_quotient_map_indices_match_the_listing(case):
+    rel, points = case
+    qm = QuotientMap(rel)
+    got = qm.indices(np.array(points))
+    assert got.dtype == np.int64
+    assert got.tolist() == [qm.reps.index(qm.residue(p)) for p in points]
 
 
 def quotient_cases(n, lo, hi):

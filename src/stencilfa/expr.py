@@ -397,7 +397,10 @@ class _Matrices:
         # so that a rebinding of the module global is seen
         if a.ndim == 2:
             return pinv_matrix(a)
-        return np.stack([pinv_matrix(m) for m in a])
+        out = np.empty((len(a), a.shape[2], a.shape[1]), dtype=complex)
+        for i, m in enumerate(a):
+            out[i] = pinv_matrix(m)
+        return out
 
 
 class _Operators:

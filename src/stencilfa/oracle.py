@@ -14,10 +14,14 @@ points along an offset with one QuotientMap.indices call and adds the
 multiplier into all its blocks at once.
 translation_residual takes the commutator norm over the nonzeros of the
 matrix and of its translate.  dense_spectrum splits the matrix into the
-connected components of its symmetrized nonzero pattern and makes one
-stacked eigvals call per block size, and the wave-basis Gram check is taken
-on the (samples, points) phase matrix the basis is built from.  Each gives
-the whole-matrix answer bit for bit, or to rounding for the norms.
+connected components of its symmetrized nonzero pattern and solves each
+block with the narrowest exact LAPACK driver: real geev or syevd for a
+block without imaginary parts, heevd for an exactly Hermitian one, complex
+geev otherwise, one stacked call per block size and driver.  The wave-basis
+Gram check is taken on the (samples, points) phase matrix the basis is
+built from.  Assembly and the block split give the whole-matrix answer bit
+for bit, the norms and the spectrum agree with it to rounding.
+spectrum_distance matches over the distinct values of its second list.
 
 Sizes are deliberately capped (|det M| <= 10^4 block rows): this module is
 for desk-scale verification, not production runs.
@@ -25,6 +29,7 @@ for desk-scale verification, not production runs.
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import pi
 
 import numpy as np
@@ -85,9 +90,13 @@ def dense_spectrum(matrix: np.ndarray) -> list[complex]:
     blocks' spectra, so this is exact; it only skips the cubic work across
     blocks that never couple (a block smoother's torus matrix splits into
     many small ones).  Components are found by min-label propagation over the
-    nonzeros, and the blocks of each size share one stacked eigvals call.
-    The values come per component in order of its smallest index, each
-    component's in LAPACK order for the block on its ascending indices.
+    nonzeros.  Each block goes to the narrowest LAPACK driver its entries
+    allow, decided by exact tests: a block without imaginary parts is passed
+    as real, and a block equal to its conjugate transpose goes to eigvalsh
+    (syevd/heevd), any other to eigvals (geev).  The blocks of one size and
+    driver share one stacked call.  The values come per component in order
+    of its smallest index, each component's in its driver's order for the
+    block on its ascending indices (ascending for eigvalsh).
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -112,8 +121,17 @@ def dense_spectrum(matrix: np.ndarray) -> list[complex]:
         which = np.flatnonzero(sizes == size)
         idx = order[starts[which, None] + np.arange(size)]
         blocks = matrix[idx[:, :, None], idx[:, None, :]]
-        for k, vals in zip(which, np.linalg.eigvals(blocks).astype(complex, copy=False).tolist()):
-            per_block[k] = vals
+        real = ~blocks.imag.any(axis=(1, 2))
+        hermitian = (blocks == blocks.conj().swapaxes(1, 2)).all(axis=(1, 2))
+        for is_real in (True, False):
+            for is_hermitian in (True, False):
+                pick = (real == is_real) & (hermitian == is_hermitian)
+                if not pick.any():
+                    continue
+                stack = blocks[pick].real if is_real else blocks[pick]
+                solve = np.linalg.eigvalsh if is_hermitian else np.linalg.eigvals
+                for k, vals in zip(which[pick], solve(stack).astype(complex, copy=False).tolist()):
+                    per_block[k] = vals
     return [v for vals in per_block for v in vals]
 
 
@@ -208,20 +226,68 @@ def spectrum_distance(eigs_a, eigs_b) -> float:
     Sorting by (re, im) and zipping is unstable for conjugate pairs whose real
     parts agree to rounding, so the values of eigs_a are taken in order of
     decreasing modulus (ties by re, then im) and each is paired with its
-    nearest remaining value of eigs_b, the first one in list order on ties.
-    Gaps are taken with hypot, which is what abs of a Python complex
-    computes, so ties and the result are those of a loop over Python's abs,
-    bit for bit.
+    nearest remaining value of eigs_b, the first one in list order on ties
+    (the first NaN gap, if any, as np.argmin picks).  Gaps are taken with
+    hypot, which is what abs of a Python complex computes.
+
+    The matching runs over the distinct values of eigs_b, each with a count
+    of copies left: copies of one value leave in list order, so a run of
+    equal values of eigs_a takes its gaps once and, while the nearest live
+    value is unique, as many of that value's copies as it needs in one step.
+    An exact tie between different values takes one copy at a time from the
+    value whose next copy comes first in eigs_b.  0.0 and -0.0 are one value,
+    with the same gap to everything.  Ties and the result are those of a loop
+    over Python's abs, bit for bit.
     """
     a = [complex(e) for e in eigs_a]
-    rest = np.array([complex(e) for e in eigs_b], dtype=complex)
-    if len(a) != len(rest):
-        raise ValueError(f"eigenvalue counts differ: {len(a)} vs {len(rest)}")
+    b = np.array([complex(e) for e in eigs_b], dtype=complex)
+    if len(a) != len(b):
+        raise ValueError(f"eigenvalue counts differ: {len(a)} vs {len(b)}")
+    # equal_nan=False: a NaN value is its own value, as in the loop
+    values, first, inverse, counts = np.unique(
+        b, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    # distinct values in order of their first copy in eigs_b, so that argmin
+    # breaks a tie the loop's way while no tied value has lost a copy
+    by_first = np.argsort(first)
+    re, im = values.real[by_first], values.imag[by_first]
+    # value u's next copy is at list position copies[start[u] + used[u]]
+    copies = np.argsort(inverse, kind="stable").tolist()
+    start = (np.cumsum(counts) - counts)[by_first].tolist()
+    counts = counts[by_first].tolist()
+    used = [0] * len(counts)
+    dead = np.zeros(len(counts), dtype=bool)
     worst = 0.0
-    for e in sorted(a, key=lambda z: (-abs(z), z.real, z.imag)):
-        d = rest - e
-        gaps = np.hypot(d.real, d.imag)
-        nearest = int(np.argmin(gaps))
-        worst = max(worst, float(gaps[nearest]))
-        rest = np.delete(rest, nearest)
+    # inf - inf makes a NaN gap, which is chosen as np.argmin chooses it
+    with np.errstate(invalid="ignore"):
+        for e, equal in groupby(sorted(a, key=lambda z: (-abs(z), z.real, z.imag))):
+            run = len(list(equal))
+            gaps = np.hypot(re - e.real, im - e.imag)
+            # a used-up value is never nearest: its inf gap can only tie, and
+            # ties are settled among live values
+            gaps[dead] = np.inf
+            while run:
+                nearest = int(gaps.argmin())
+                gap = gaps.item(nearest)
+                if run > 1 or used[nearest] or gap == np.inf:
+                    tied = np.flatnonzero(gaps == gap if gap == gap else np.isnan(gaps))
+                    if len(tied) > 1:
+                        # one copy from the value whose next copy comes first
+                        nearest = min(
+                            (u for u in tied.tolist() if not dead[u]),
+                            key=lambda u: copies[start[u] + used[u]],
+                        )
+                        take = 1
+                    else:
+                        take = min(run, counts[nearest] - used[nearest])
+                else:
+                    # nearest has lost no copy, so a value tied with it comes
+                    # later in first-copy order and its next copy later in eigs_b
+                    take = 1
+                used[nearest] += take
+                run -= take
+                worst = max(worst, gap)
+                if used[nearest] == counts[nearest]:
+                    dead[nearest] = True
+                    gaps[nearest] = np.inf
     return worst

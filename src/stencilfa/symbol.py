@@ -85,6 +85,8 @@ def symbol_at(l: MultiplicationOperator, k) -> np.ndarray:
     return np.cumsum(terms, axis=0)[-1] + 0.0
 
 
+_EPS = float(np.finfo(float).eps)
+
 #: Spectral norms at or below this level are treated as "the zero matrix" by
 #: pinv_matrix.  A relative cutoff alone cannot handle matrices that are zero
 #: in exact arithmetic but materialize as rounding noise (for example the
@@ -95,7 +97,7 @@ def symbol_at(l: MultiplicationOperator, k) -> np.ndarray:
 #: of desk-scale symbol evaluations and far below every meaningful operator
 #: scale in the shipped analyses.  Pass zero_tol=0.0 to disable the floor for
 #: problems scaled differently.
-ZERO_MATRIX_TOL = float(np.finfo(float).eps) ** (2.0 / 3.0)
+ZERO_MATRIX_TOL = _EPS ** (2.0 / 3.0)
 
 
 def pinv_matrix(
@@ -105,20 +107,23 @@ def pinv_matrix(
 ) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with an explicit singular-value cutoff.
 
-    Singular values below rank_tol times the largest one are treated as zero
-    (default rank_tol: max(shape) * machine epsilon).  If the largest
-    singular value itself does not exceed zero_tol, the whole matrix is
-    treated as zero and the zero matrix of transposed shape is returned.
+    Singular values not above rank_tol times the largest one are treated as
+    zero (default rank_tol: max(shape) * machine epsilon; a negative or NaN
+    rank_tol is a ValueError).  If the largest singular value itself does
+    not exceed zero_tol, the whole matrix is treated as zero and the zero
+    matrix of transposed shape is returned.
     """
+    if rank_tol is not None and not rank_tol >= 0:
+        raise ValueError(f"rank_tol must be a nonnegative number, got {rank_tol!r}")
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return m.T.copy()
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= zero_tol:
+    if s[0] <= zero_tol:
         return np.zeros_like(m.T)
     if rank_tol is None:
-        rank_tol = max(m.shape) * np.finfo(float).eps
-    inv = np.where(s > rank_tol * s[0], 1.0 / np.where(s == 0, 1.0, s), 0.0)
+        rank_tol = max(m.shape) * _EPS
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rank_tol * s[0])
     return (vh.conj().T * inv) @ u.conj().T
 
 

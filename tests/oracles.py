@@ -209,7 +209,9 @@ def pair_eigenvalues(left, right) -> float:
 def greedy_spectrum_distance(eigs_a, eigs_b) -> float:
     """The plain-loop form of the package's spectrum_distance: values of a by
     descending modulus, each paired with the first closest remaining value of
-    b by Python's complex abs; the largest gap is returned."""
+    b by Python's complex abs, or with the first remaining value at a NaN gap
+    if there is one (the choice np.argmin makes); the largest gap is
+    returned, NaN gaps never raising it."""
     a = [complex(e) for e in eigs_a]
     b = [complex(e) for e in eigs_b]
     if len(a) != len(b):
@@ -217,8 +219,11 @@ def greedy_spectrum_distance(eigs_a, eigs_b) -> float:
     rest = list(b)
     worst = 0.0
     for e in sorted(a, key=lambda z: (-abs(z), z.real, z.imag)):
-        nearest = min(range(len(rest)), key=lambda i: abs(rest[i] - e))
-        worst = max(worst, abs(rest.pop(nearest) - e))
+        gaps = [abs(r - e) for r in rest]
+        nan = [i for i, g in enumerate(gaps) if g != g]
+        nearest = nan[0] if nan else min(range(len(rest)), key=gaps.__getitem__)
+        worst = max(worst, gaps[nearest])
+        rest.pop(nearest)
     return worst
 
 
@@ -238,11 +243,23 @@ def per_point_assemble_dense(l, qm) -> np.ndarray:
     return out
 
 
+def narrowest_eigvals(block) -> list[complex]:
+    """Eigenvalues of one square matrix from the narrowest exact LAPACK
+    driver: real input when no entry has an imaginary part, eigvalsh when
+    the matrix equals its conjugate transpose, eigvals otherwise."""
+    block = np.asarray(block)
+    if np.all(block.imag == 0):
+        block = block.real
+    if np.array_equal(block, block.conj().T):
+        return [complex(v) for v in np.linalg.eigvalsh(block)]
+    return [complex(v) for v in np.linalg.eigvals(block)]
+
+
 def bfs_dense_spectrum(matrix) -> list[complex]:
     """Eigenvalues of a square matrix one connected block at a time: a BFS
     over boolean rows of the symmetrized nonzero pattern, started at the
-    smallest unseen index, then one eigvals call on the block's ascending
-    indices."""
+    smallest unseen index, then one narrowest_eigvals call on the block's
+    ascending indices."""
     matrix = np.asarray(matrix)
     nonzero = matrix != 0
     linked = nonzero | nonzero.T
@@ -257,5 +274,22 @@ def bfs_dense_spectrum(matrix) -> list[complex]:
             frontier = linked[frontier].any(axis=0) & ~block
         unseen &= ~block
         idx = np.flatnonzero(block)
-        eigs.extend(complex(v) for v in np.linalg.eigvals(matrix[np.ix_(idx, idx)]))
+        eigs.extend(narrowest_eigvals(matrix[np.ix_(idx, idx)]))
     return eigs
+
+
+def where_pinv_matrix(m, rank_tol=None, zero_tol=float(np.finfo(float).eps) ** (2.0 / 3.0)):
+    """The pseudo-inverse the two-np.where way: the SVD of m, the zero
+    matrix when the largest singular value is at or below zero_tol, else
+    1/s for the singular values above rank_tol times the largest (default
+    max(shape) * eps) and 0 for the rest."""
+    m = np.asarray(m, dtype=complex)
+    if m.size == 0:
+        return m.T.copy()
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    if s.size == 0 or s[0] <= zero_tol:
+        return np.zeros_like(m.T)
+    if rank_tol is None:
+        rank_tol = max(m.shape) * np.finfo(float).eps
+    inv = np.where(s > rank_tol * s[0], 1.0 / np.where(s == 0, 1.0, s), 0.0)
+    return (vh.conj().T * inv) @ u.conj().T

@@ -439,3 +439,48 @@ def test_verify_rejects_malformed_schema(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--input", str(path))
     assert code == 1
     assert "missing keys" in err
+
+
+def _hopping_file(path, multipliers):
+    """A 1x1 operator on the square lattice, multipliers as {offset: complex}."""
+    raw = {
+        "dim": 2,
+        "operators": {
+            "H": {
+                "lattice": [[1.0, 0.0], [0.0, 1.0]],
+                "domain_se": [["0", "0"]],
+                "codomain_se": [["0", "0"]],
+                "multipliers": [
+                    {"offset": list(off), "matrix": [[[z.real, z.imag]]]}
+                    for off, z in multipliers.items()
+                ],
+            }
+        },
+    }
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_verify_complex_operators(tmp_path, capsys, monkeypatch, hermitian):
+    # no gallery operator has complex multipliers: a Hermitian hopping with a
+    # phase e^{i theta} goes through the complex eigvalsh route, a
+    # non-Hermitian one stays on complex eigvals
+    phase = complex(np.cos(0.7), np.sin(0.7))
+    back = phase.conjugate() if hermitian else 0.5j * phase
+    hops = {(0, 0): 1.5, (1, 0): phase, (-1, 0): back, (0, 1): -1.0, (0, -1): -1.0}
+    path = _hopping_file(tmp_path / "hopping.json", hops)
+    routes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        routes.append(np.asarray(a).dtype.kind)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    code, out, _ = run(capsys, "verify", "--input", path, "--resolution", "4")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert any(line.startswith("symbol vs dense spectrum  H") for line in lines)
+    assert all(line.endswith("pass") for line in lines)
+    assert routes == (["c"] if hermitian else [])

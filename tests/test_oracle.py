@@ -2,6 +2,7 @@
 
 import cmath
 import re
+import warnings
 from fractions import Fraction
 from math import floor, pi
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     bfs_dense_spectrum,
     greedy_spectrum_distance,
+    narrowest_eigvals,
     pair_eigenvalues,
     per_point_assemble_dense,
 )
@@ -178,7 +180,10 @@ def _draw_block_matrix(data) -> tuple[np.ndarray, bool]:
     """Random diagonal blocks under a random symmetric permutation, and
     whether a dense random matrix was added on top (one component).
 
-    The all-zero blocks stay uncoupled, giving all-zero rows and columns."""
+    A block is complex, real, Hermitian (b + b^H) or real symmetric, so a
+    stack of equal-size blocks can mix LAPACK drivers; sometimes the whole
+    matrix is made Hermitian.  The all-zero blocks stay uncoupled, giving
+    all-zero rows and columns."""
     sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n = sum(sizes)
@@ -187,9 +192,12 @@ def _draw_block_matrix(data) -> tuple[np.ndarray, bool]:
     start = 0
     for size in sizes:
         if data.draw(st.booleans()):
-            a[start:start + size, start:start + size] = rng.standard_normal(
-                (size, size)
-            ) + 1j * rng.standard_normal((size, size))
+            b = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            if data.draw(st.booleans()):
+                b = b.real + 0j
+            if data.draw(st.booleans()):
+                b = b + b.conj().T
+            a[start:start + size, start:start + size] = b
             live.extend(range(start, start + size))
         start += size
     # chains of one-way couplings between live indices (A[i, j] set only
@@ -207,6 +215,8 @@ def _draw_block_matrix(data) -> tuple[np.ndarray, bool]:
     connected = data.draw(st.booleans())
     if connected:
         a += rng.standard_normal((n, n))
+    if data.draw(st.booleans()):
+        a = a + a.conj().T
     perm = data.draw(st.permutations(range(n)))
     return a[np.ix_(perm, perm)], connected
 
@@ -221,15 +231,15 @@ def test_dense_spectrum_equals_eigvals_of_whole_matrix(data):
     assert len(got) == n
     assert spectrum_distance(got, want) <= 1e-12 * np.linalg.norm(a)
     if connected:
-        # one component: the very same eigvals call on the whole matrix
-        assert got == [complex(v) for v in want]
+        # one component: the very same driver call on the whole matrix
+        assert got == narrowest_eigvals(a)
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_dense_spectrum_equals_per_component_bfs(data):
-    # bit for bit: same values in the same order, real matrices included
-    # (their blocks take the real LAPACK route)
+    # bit for bit: same values in the same order, whole real matrices
+    # included (every block takes a real LAPACK route)
     a, _ = _draw_block_matrix(data)
     if data.draw(st.booleans()):
         a = a.real.copy()
@@ -553,3 +563,55 @@ def test_spectrum_distance_matches_plain_loop(data):
     got = spectrum_distance(a, b)
     assert type(got) is float
     assert got.hex() == greedy_spectrum_distance(a, b).hex()
+
+
+_INF, _NAN = float("inf"), float("nan")
+_SPECIAL = st.sampled_from(
+    [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    + [complex(_INF, 0.0), complex(-_INF, 1.0), complex(1.0, _INF), complex(_INF, _NAN)]
+    + [complex(_NAN, 0.0), complex(0.0, _NAN), complex(_NAN, _NAN)]
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_spectrum_distance_over_few_distinct_values_matches_plain_loop(data):
+    # long lists of at most 4 distinct values, where the matching runs over
+    # repeated copies: x + 1j and x - 1j are equidistant from every real
+    # value, so the list-order tie rule decides; signed zeros, inf and NaN
+    # give equal values with different bits and NaN gaps
+    x, y = data.draw(_PART), data.draw(_PART)
+    pool = [complex(x, 1.0), complex(x, -1.0), complex(y, 0.0)][: data.draw(st.integers(0, 3))]
+    pool += data.draw(st.lists(_SPECIAL | _EIG, min_size=not pool, max_size=4 - len(pool)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 200))
+    a = [pool[i] for i in rng.integers(len(pool), size=n)]
+    if data.draw(st.booleans()):
+        b = [a[i] for i in rng.permutation(n)]
+    else:
+        b = [pool[i] for i in rng.integers(len(pool), size=n)]
+    got = spectrum_distance(a, b)
+    assert type(got) is float
+    assert got.hex() == greedy_spectrum_distance(a, b).hex()
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        # 5 is equidistant from 5 + 1j and 5 - 1j and takes the first in
+        # list order, not the first in (re, im) order
+        ([5, 4 - 1j], [5 + 1j, 5 - 1j], 1.0),
+        # the run at 5 meets a tie at gap 1 and takes one copy at a time in
+        # list order: 5+1j, then 5-1j, leaving one of each for 4 +- 1j
+        ([5, 5, 4 + 1j, 4 - 1j], [5 + 1j, 5 - 1j, 5 + 1j, 5 - 1j], 1.0),
+        # two NaN values with different gaps (inf and NaN) stay apart
+        ([1, complex(0, _NAN)], [complex(_INF, _NAN), complex(0, _NAN)], _INF),
+        ([complex(_INF, 0), 1], [complex(0, _NAN), complex(_INF, _NAN)], 0.0),
+    ],
+)
+def test_spectrum_distance_tie_and_nan_witnesses(a, b, want):
+    # inf - inf gaps are NaN gaps, not a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spectrum_distance(a, b)
+    assert got.hex() == greedy_spectrum_distance(a, b).hex() == want.hex()

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import charpoly_eigenvalues, fraction_symbol_at, pair_eigenvalues, per_sample_spectrum
+from oracles import (
+    charpoly_eigenvalues,
+    fraction_symbol_at,
+    pair_eigenvalues,
+    per_sample_spectrum,
+    where_pinv_matrix,
+)
 from stencilfa.crystal import DualSample, Lattice, StructureElement, sample_dual_torus
 from stencilfa.expr import parse
 from stencilfa.gallery import build
@@ -186,6 +192,13 @@ def test_pinv_rank_tolerance_override():
     assert pinv_matrix(m, rank_tol=1e-6)[1, 1] == 0.0
 
 
+@pytest.mark.parametrize("rank_tol", [-1.0, -1e-300, float("nan")])
+def test_pinv_rejects_negative_or_nan_rank_tol(rank_tol):
+    # a negative cut would keep zero singular values and invert them
+    with pytest.raises(ValueError, match="rank_tol must be a nonnegative number"):
+        pinv_matrix(np.diag([1.0, 0.0]), rank_tol=rank_tol)
+
+
 def test_pinv_noise_level_matrix_is_zero():
     # a matrix that is zero in exact arithmetic but carries rounding residue
     # must not be inverted into garbage; the absolute floor catches it
@@ -216,6 +229,35 @@ def test_pinv_penrose_axioms(seed, n, rank):
     assert np.linalg.norm(p @ s @ p - p) < 1e-10
     assert np.linalg.norm((s @ p).conj().T - s @ p) < 1e-10
     assert np.linalg.norm((p @ s).conj().T - p @ s) < 1e-10
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from(range(5)),
+    cols=st.integers(1, 4),
+    spectrum=st.lists(st.sampled_from([1.0, 0.3, 1e-9, 1e-15, 1e-17, 0.0]), min_size=1, max_size=4),
+    scale=st.floats(1.0, 1e6) | st.sampled_from([1e-11, 1e-12, 0.0]),
+    rank_tol=st.none() | st.sampled_from([0.0, 1e-16, 1e-9, 0.5]) | st.floats(0.0, 1.0),
+    zero_tol=st.none() | st.sampled_from([0.0, 1e-11]),
+)
+@settings(max_examples=300, deadline=None)
+def test_pinv_matrix_equals_two_where_form_bit_for_bit(
+    seed, rows, cols, spectrum, scale, rank_tol, zero_tol
+):
+    # singular values near the zero floor (scale 1e-11 and 1e-12 straddle
+    # eps^(2/3)) and near the rank cut (1e-15, 1e-17 against max(shape)*eps),
+    # empty and non-square shapes, default and explicit tolerances
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols, len(spectrum))
+    q1 = np.linalg.qr(rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows)))[0]
+    q2 = np.linalg.qr(rng.normal(size=(cols, cols)) + 1j * rng.normal(size=(cols, cols)))[0]
+    m = scale * (q1[:, :k] * np.array(spectrum[:k])) @ q2[:k, :]
+    kwargs = {}
+    if rank_tol is not None:
+        kwargs["rank_tol"] = rank_tol
+    if zero_tol is not None:
+        kwargs["zero_tol"] = zero_tol
+    assert _same_bits(pinv_matrix(m, **kwargs), where_pinv_matrix(m, **kwargs))
 
 
 # ------------------------------------------------------------- eigenvalues

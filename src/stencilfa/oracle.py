@@ -1,4 +1,4 @@
-"""Dense torus assembly: the brute-force cross-check for the symbol machinery.
+"""Torus assembly: the brute-force cross-check for the symbol machinery.
 
 Any multiplication operator can be materialized as one big matrix on the
 finite torus L(A)/L(Z) with Z = A*M.  Rows and columns are indexed by
@@ -8,20 +8,24 @@ over the sampled dual torus must equal the spectrum of this matrix, which is
 what the high-level tests assert; none of the frequency-space code is used
 to build it.
 
-Beyond one scan of a matrix for its nonzeros, only the eigenvalues of its
-connected blocks take whole-block arithmetic.  Assembly maps all torus
-points along an offset with one QuotientMap.indices call and adds the
-multiplier into all its blocks at once.
-translation_residual takes the commutator norm over the nonzeros of the
-matrix and of its translate.  dense_spectrum splits the matrix into the
-connected components of its symmetrized nonzero pattern and solves each
-block with the narrowest exact LAPACK driver: real geev or syevd for a
-block without imaginary parts, heevd for an exactly Hermitian one, complex
-geev otherwise, one stacked call per block size and driver.  The wave-basis
-Gram check is taken on the (samples, points) phase matrix the basis is
-built from.  Assembly and the block split give the whole-matrix answer bit
-for bit, the norms and the spectrum agree with it to rounding.
-spectrum_distance matches over the distinct values of its second list.
+The matrix is kept as its nonzero triples (TorusTriples: rows, cols and
+values in row-major order), so only a connected block is ever held dense;
+``dense()`` gives the whole matrix when a caller wants it.  Assembly merges
+offsets with one torus residue (they land on the same blocks at every
+point) and maps all torus points along each with one QuotientMap.indices
+call.  translation_residual takes the commutator norm over the nonzeros of
+the matrix and of its translate, found by sorted-key lookup.
+dense_spectrum splits the matrix into the connected components of its
+symmetrized nonzero pattern, scatters each component's triples into a
+dense block and solves each block with the narrowest exact LAPACK driver:
+real geev or syevd for a block without imaginary parts, heevd for an
+exactly Hermitian one, complex geev otherwise, one stacked call per block
+size and driver.  The wave-basis Gram check is taken on the (samples,
+points) phase matrix the basis is built from.  The assembled matrix and
+the residual are those of a dense per-offset assembly bit for bit, and the
+blocks are its diagonal blocks; their spectrum agrees with the whole
+matrix's to rounding.  spectrum_distance matches over the distinct values
+of its second list.
 
 Sizes are deliberately capped (|det M| <= 10^4 block rows): this module is
 for desk-scale verification, not production runs.
@@ -29,6 +33,7 @@ for desk-scale verification, not production runs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import groupby
 from math import pi
 
@@ -49,40 +54,72 @@ def _torus_quotient(a: Lattice, m) -> QuotientMap:
     return QuotientMap(mm)
 
 
-def assemble_dense(l: MultiplicationOperator, m) -> np.ndarray:
-    """Dense matrix of L on the torus with Z = A*M.
+@dataclass(frozen=True)
+class TorusTriples:
+    """A torus operator's matrix as its nonzero (row, col, value) triples.
+
+    ``rows`` and ``cols`` are int64 and ``values`` complex, read-only, in
+    row-major order with one entry per position and no exact zeros;
+    ``shape`` is the matrix shape and ``quotient`` the torus QuotientMap
+    whose listing orders the block rows and columns.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+    quotient: QuotientMap
+
+    def dense(self) -> np.ndarray:
+        """The whole matrix, zero away from the triples."""
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.rows, self.cols] = self.values
+        return out
+
+
+def assemble_dense(l: MultiplicationOperator, m) -> TorusTriples:
+    """The matrix of L on the torus with Z = A*M, as nonzero triples.
 
     Block (i, j) accumulates every multiplier whose offset connects torus
     point i to torus point j modulo L(Z); periodic wrap-around merges offsets
-    that become equivalent on the finite torus.  An offset's point map is
-    the listing index of every representative plus the offset's residue,
-    and each multiplier is added into all its blocks at once, offsets in
-    ``multipliers`` order, so every block sums in that order.
+    that become equivalent on the finite torus.  Offsets with the same
+    residue connect the same blocks at every point, so their multipliers are
+    summed onto +0.0 in ``multipliers`` order, as a dense += per offset
+    would sum each block, and entries that cancel to exactly zero are
+    dropped.  A residue's point map is the listing index of every
+    representative plus the residue.
     """
     qm = _torus_quotient(l.lattice, m)
     reps = np.array(qm.reps)
     n_pts = len(reps)
     mc, md = l.shape
-    out = np.zeros((n_pts, mc, n_pts, md), dtype=complex)
-    points = np.arange(n_pts)
+    merged: dict[tuple[int, ...], np.ndarray] = {}
     for off, mat in l.multipliers.items():
         # residue reduces the offset in Python ints, so any offset is exact
-        target = qm.indices(reps + qm.residue(off))
-        # (i, target[i]) are distinct pairs, so the buffered += is exact
-        out[points, :, target, :] += mat
-    return out.reshape(n_pts * mc, n_pts * md)
+        r = qm.residue(off)
+        if r not in merged:
+            merged[r] = np.zeros((mc, md), dtype=complex)
+        merged[r] += mat
+    shape = (n_pts * mc, n_pts * md)
+    points = np.arange(n_pts)[:, None]
+    parts = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0, dtype=complex),)]
+    for r, mat in merged.items():
+        target = qm.indices(reps + r)[:, None]
+        a, b = np.nonzero(mat)
+        # distinct residues give distinct targets, so no position repeats
+        parts.append(
+            ((points * mc + a).ravel(), (target * md + b).ravel(), np.tile(mat[a, b], n_pts))
+        )
+    rows, cols, values = map(np.concatenate, zip(*parts))
+    order = np.argsort(rows * shape[1] + cols)
+    triples = [rows[order], cols[order], values[order]]
+    for array in triples:
+        array.setflags(write=False)
+    return TorusTriples(*triples, shape, qm)
 
 
-def _nonzeros(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of a 2-D matrix's nonzeros in row-major order.
-
-    Same as np.nonzero, which is ten times slower on an 800x800 mask than a
-    flat search split by divmod."""
-    return np.divmod(np.flatnonzero(matrix != 0), matrix.shape[1])
-
-
-def dense_spectrum(matrix: np.ndarray) -> list[complex]:
-    """Eigenvalues of a square matrix, taken block by connected block.
+def dense_spectrum(matrix: TorusTriples) -> list[complex]:
+    """Eigenvalues of a square torus matrix, taken block by connected block.
 
     Indices i and j are linked when A[i, j] or A[j, i] is nonzero.  A
     symmetric permutation onto the connected components makes A block
@@ -90,21 +127,22 @@ def dense_spectrum(matrix: np.ndarray) -> list[complex]:
     blocks' spectra, so this is exact; it only skips the cubic work across
     blocks that never couple (a block smoother's torus matrix splits into
     many small ones).  Components are found by min-label propagation over the
-    nonzeros.  Each block goes to the narrowest LAPACK driver its entries
-    allow, decided by exact tests: a block without imaginary parts is passed
-    as real, and a block equal to its conjugate transpose goes to eigvalsh
-    (syevd/heevd), any other to eigvals (geev).  The blocks of one size and
-    driver share one stacked call.  The values come per component in order
-    of its smallest index, each component's in its driver's order for the
-    block on its ascending indices (ascending for eigvalsh).
+    triples, and each component's triples are scattered into a zero block
+    on its ascending indices; only these blocks are ever dense.  Each block
+    goes to the narrowest LAPACK driver its entries allow, decided by exact
+    tests: a block without imaginary parts is passed as real, and a block
+    equal to its conjugate transpose goes to eigvalsh (syevd/heevd), any
+    other to eigvals (geev).  The blocks of one size and driver share one
+    stacked call.  The values come per component in order of its smallest
+    index, each component's in its driver's order for its block (ascending
+    for eigvalsh).
     """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("dense spectrum needs a square matrix")
-    rows, cols = _nonzeros(matrix)
+    rows, cols = matrix.rows, matrix.cols
     # labels[i] stays an index of i's component and never grows; at the
     # fixed point it is the smallest index of the component
-    labels = np.arange(len(matrix))
+    labels = np.arange(matrix.shape[0])
     while True:
         new = labels.copy()
         np.minimum.at(new, rows, labels[cols])
@@ -113,14 +151,19 @@ def dense_spectrum(matrix: np.ndarray) -> list[complex]:
         if np.array_equal(new, labels):
             break
         labels = new
-    order = np.argsort(labels, kind="stable")
-    sizes = np.unique(labels, return_counts=True)[1]
-    starts = np.cumsum(sizes) - sizes
+    _, component, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    # local[i] is i's place among its component's ascending indices
+    local = np.empty_like(labels)
+    local[np.argsort(labels, kind="stable")] = np.arange(len(labels))
+    local -= (np.cumsum(sizes) - sizes)[component]
+    entry_sizes = sizes[component[rows]]
     per_block: list[list[complex]] = [[] for _ in sizes]
     for size in np.unique(sizes):
         which = np.flatnonzero(sizes == size)
-        idx = order[starts[which, None] + np.arange(size)]
-        blocks = matrix[idx[:, :, None], idx[:, None, :]]
+        entry = np.flatnonzero(entry_sizes == size)
+        r, c = rows[entry], cols[entry]
+        blocks = np.zeros((len(which), size, size), dtype=complex)
+        blocks[np.searchsorted(which, component[r]), local[r], local[c]] = matrix.values[entry]
         real = ~blocks.imag.any(axis=(1, 2))
         hermitian = (blocks == blocks.conj().swapaxes(1, 2)).all(axis=(1, 2))
         for is_real in (True, False):
@@ -171,27 +214,38 @@ def wave_gram_residual(a: Lattice, m) -> float:
     return float(np.abs(gram - np.eye(len(p))).max())
 
 
-def translation_residual(matrix: np.ndarray, a: Lattice, m, shape: tuple[int, int]) -> float:
-    """Max Frobenius commutator norm of a dense torus matrix with the
-    primitive translations; shape gives the (codomain, domain) block sizes.
+def translation_residual(matrix: TorusTriples, shape: tuple[int, int]) -> float:
+    """Max Frobenius commutator norm of a torus matrix with the primitive
+    translations of its torus; shape gives the (codomain, domain) block sizes.
 
     With T the block permutation of one primitive step, ||A T - T A|| equals
     ||A - T A T^-1||, and T A T^-1 is A with rows and columns re-indexed.
     Both are zero away from A's nonzeros and their re-indexed images, so the
-    norm is taken over those positions only.
+    norm is taken over those positions only, each entry of A looked up by
+    its row-major key in the sorted keys of the triples.
     """
-    qm = _torus_quotient(a, m)
+    qm = matrix.quotient
     n_pts = len(qm.reps)
     mc, md = shape
     expected = (n_pts * mc, n_pts * md)
-    matrix = np.asarray(matrix)
     if matrix.shape != expected:
         raise ValueError(
             f"torus matrix has shape {matrix.shape}, expected {expected} "
             f"for {n_pts} torus points and blocks {shape}"
         )
-    nz_rows, nz_cols = _nonzeros(matrix)
-    values = matrix[nz_rows, nz_cols]
+    values = matrix.values
+    if not len(values):
+        return 0.0
+    width = expected[1]
+    keys = matrix.rows * width + matrix.cols
+
+    def find(rows, cols):
+        # position of each (rows, cols) key among the triples, and whether
+        # A holds a nonzero there
+        query = rows * width + cols
+        at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return at, keys[at] == query
+
     worst = 0.0
     for step in np.eye(qm.n, dtype=np.int64):
         perm = qm.indices(np.array(qm.reps) + step)
@@ -199,8 +253,9 @@ def translation_residual(matrix: np.ndarray, a: Lattice, m, shape: tuple[int, in
         cols = (perm[:, None] * md + np.arange(md)).ravel()
         # T A T^-1 holds A[rows[x], cols[y]] at (x, y): the gaps at A's
         # nonzeros, then the images that land where A is zero
-        moved = matrix[np.argsort(rows)[nz_rows], np.argsort(cols)[nz_cols]]
-        gaps = np.concatenate([values - matrix[rows[nz_rows], cols[nz_cols]], values[moved == 0]])
+        at, found = find(rows[matrix.rows], cols[matrix.cols])
+        _, taken = find(np.argsort(rows)[matrix.rows], np.argsort(cols)[matrix.cols])
+        gaps = np.concatenate([values - np.where(found, values[at], 0), values[~taken]])
         worst = max(worst, float(np.linalg.norm(gaps)))
     return worst
 
@@ -216,7 +271,7 @@ def eval_dense(expr, env, m) -> np.ndarray:
     if not names:
         raise ValueError("expression environment is empty")
     compatible = make_compatible([env[name] for name in names])
-    denses = {name: assemble_dense(op, m) for name, op in zip(names, compatible)}
+    denses = {name: assemble_dense(op, m).dense() for name, op in zip(names, compatible)}
     return expr.eval_matrices(denses)
 
 

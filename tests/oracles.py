@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm, pi
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -241,6 +242,20 @@ def per_point_assemble_dense(l, qm) -> np.ndarray:
             j = qm.reps.index(qm.residue(x))
             out[i * mc:(i + 1) * mc, j * md:(j + 1) * md] += mat
     return out
+
+
+def torus_triples(matrix, quotient=None) -> SimpleNamespace:
+    """A dense array in the triple form the oracle's dense_spectrum and
+    translation_residual read: the nonzeros' rows, cols and values in
+    row-major order, the array's shape, and the torus QuotientMap, passed
+    in.  An array of any rank is read as rows of its last axis, so its
+    shape still reaches the callee's check."""
+    matrix = np.asarray(matrix)
+    flat = np.flatnonzero(matrix)
+    rows, cols = np.divmod(flat, matrix.shape[-1])
+    return SimpleNamespace(
+        rows=rows, cols=cols, values=matrix.ravel()[flat], shape=matrix.shape, quotient=quotient
+    )
 
 
 def narrowest_eigvals(block) -> list[complex]:

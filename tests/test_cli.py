@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -417,6 +418,21 @@ def test_verify_torus_above_dense_cap_is_an_error_line(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "too large" in err
+
+
+def test_verify_checks_never_hold_a_whole_torus_matrix():
+    # graphene at res 10: each of S1-S4 would be an 800x800 complex matrix,
+    # 10.2 MB; the triples and the largest connected block (L, 200x200)
+    # stay far below
+    operators = build("graphene").operators
+    resolution = 10 * np.eye(2, dtype=int)
+    tracemalloc.start()
+    try:
+        cli._verify_checks(operators, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_verify_corrupted_file_fails(tmp_path, capsys):

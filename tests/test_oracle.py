@@ -17,6 +17,7 @@ from oracles import (
     narrowest_eigvals,
     pair_eigenvalues,
     per_point_assemble_dense,
+    torus_triples,
 )
 from stencilfa.cli import GRAM_TOL
 from stencilfa.crystal import Lattice, QuotientMap, StructureElement, sample_dual_torus
@@ -29,6 +30,7 @@ from stencilfa.operator import (
     mask_central,
     mul,
     normalize,
+    scale,
 )
 from stencilfa.oracle import (
     DENSE_CAP,
@@ -71,14 +73,14 @@ def red_black_laplacian(h=1.0):
 def test_identity_assembles_to_identity():
     ident = identity_operator(SQUARE, POINT)
     for m, cells in (([[1, 0], [0, 1]], 1), ([[3, 0], [0, 2]], 6), ([[2, 3], [2, -2]], 10)):
-        assert np.array_equal(assemble_dense(ident, m), np.eye(cells))
+        assert np.array_equal(assemble_dense(ident, m).dense(), np.eye(cells))
 
 
 def test_laplacian_wraps_on_two_torus():
     # on the 2x2 torus the +a and -a couplings land on the same neighbor and
     # merge into -2/h^2
     h = 0.5
-    dense = assemble_dense(five_point(h), [[2, 0], [0, 2]])
+    dense = assemble_dense(five_point(h), [[2, 0], [0, 2]]).dense()
     assert dense.shape == (4, 4)
     w = 1.0 / h**2
     for i in range(4):
@@ -94,12 +96,42 @@ def test_laplacian_wraps_on_two_torus():
 def test_masked_central_block_diagonal():
     rb = red_black_laplacian()
     sr = mask_central(rb, (True, False))
-    dense = assemble_dense(sr, [[2, 0], [0, 2]])
+    dense = assemble_dense(sr, [[2, 0], [0, 2]]).dense()
     want = np.kron(np.eye(4), np.diag([4.0, 0.0]))
     assert np.allclose(dense, want, atol=1e-14)
 
 
-_GALLERY_TORI = [("graphene", 4), ("curlcurl", 3), ("laplacian-rb", [[2, 3], [2, -2]])]
+# at 1 and 2 every gallery operator has offsets that merge on the torus
+_GALLERY_TORI = [
+    ("graphene", 4),
+    ("curlcurl", 3),
+    ("laplacian-rb", [[2, 3], [2, -2]]),
+    ("graphene", 1),
+    ("graphene", 2),
+    ("curlcurl", 1),
+    ("curlcurl", 2),
+    ("laplacian-rb", 1),
+    ("laplacian-rb", 2),
+]
+
+
+def assert_triple_form(triples):
+    """Row-major positions, each once, int64 indices, complex values, no
+    exact zeros, nothing writeable."""
+    rows, cols, values = triples.rows, triples.cols, triples.values
+    assert rows.dtype == cols.dtype == np.int64 and values.dtype == complex
+    assert len(rows) == len(cols) == len(values)
+    keys = rows * triples.shape[1] + cols
+    assert np.all(np.diff(keys) > 0)
+    assert np.all((0 <= rows) & (rows < triples.shape[0]) & (0 <= cols) & (cols < triples.shape[1]))
+    assert not np.any(values == 0)
+    assert not (rows.flags.writeable or cols.flags.writeable or values.flags.writeable)
+
+
+def assert_same_bits(got, want):
+    # array_equal takes -0.0 for 0.0; the assembly promises the very bits
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def _draw_resolution(data, dim: int) -> list[list[int]]:
@@ -135,7 +167,8 @@ def test_assemble_dense_equals_per_point_loop(data):
     m = _draw_resolution(data, dim)
     l = _draw_operator(data, dim)
     got = assemble_dense(l, m)
-    assert np.array_equal(got, per_point_assemble_dense(l, QuotientMap(m)))
+    assert_triple_form(got)
+    assert_same_bits(got.dense(), per_point_assemble_dense(l, QuotientMap(m)))
 
 
 def test_assemble_dense_with_offsets_beyond_int64_equals_per_point_loop():
@@ -147,7 +180,9 @@ def test_assemble_dense_with_offsets_beyond_int64_equals_per_point_loop():
         {(0, 0): [[2.0]], (10**20, -3): [[1.0 - 1j]], (-(10**20) - 1, 10**20): [[0.5j]]},
     )
     for m in ([[2, 3], [2, -2]], [[4, 1], [0, 3]]):
-        assert np.array_equal(assemble_dense(l, m), per_point_assemble_dense(l, QuotientMap(m)))
+        got = assemble_dense(l, m)
+        assert_triple_form(got)
+        assert_same_bits(got.dense(), per_point_assemble_dense(l, QuotientMap(m)))
 
 
 @pytest.mark.parametrize("example, res", _GALLERY_TORI)
@@ -155,7 +190,57 @@ def test_assemble_dense_of_gallery_operators_equals_per_point_loop(example, res)
     m = res * np.eye(2, dtype=int) if isinstance(res, int) else res
     qm = QuotientMap([[int(x) for x in row] for row in m])
     for op in build(example).operators.values():
-        assert np.array_equal(assemble_dense(op, m), per_point_assemble_dense(op, qm))
+        got = assemble_dense(op, m)
+        assert_triple_form(got)
+        assert_same_bits(got.dense(), per_point_assemble_dense(op, qm))
+
+
+def test_assemble_dense_drops_offsets_that_cancel_on_the_torus():
+    # (0, 0) and (2, 0) share a residue on the 2-point torus and sum to
+    # exactly zero there; (1, 0) is all that is left
+    l = MultiplicationOperator(
+        SQUARE, POINT, POINT, {(0, 0): [[1.0]], (1, 0): [[0.5]], (2, 0): [[-1.0]]}
+    )
+    m = [[2, 0], [0, 1]]
+    got = assemble_dense(l, m)
+    assert_triple_form(got)
+    assert got.rows.tolist() == [0, 1]
+    assert got.cols.tolist() == [1, 0]
+    assert got.values.tolist() == [0.5, 0.5]
+    assert_same_bits(got.dense(), per_point_assemble_dense(l, QuotientMap(m)))
+    # on a 3-point torus nothing merges and all three stay
+    assert len(assemble_dense(l, [[3, 0], [0, 1]]).values) == 9
+
+
+@pytest.mark.parametrize("m", [[[1, 0], [0, 1]], [[2, 0], [0, 1]], [[3, 0], [0, 2]]])
+def test_assemble_dense_sums_signed_zeros_onto_plus_zero(m):
+    # a -0.0 real part becomes +0.0, as a dense += onto zeros makes it,
+    # merged (res 1, 2) or not
+    l = MultiplicationOperator(
+        SQUARE, POINT, POINT, {(0, 0): [[complex(-0.0, 2.0)]], (2, 0): [[complex(1.0, -0.0)]]}
+    )
+    got = assemble_dense(l, m)
+    assert_triple_form(got)
+    assert not np.signbit(got.values.real).any() and not np.signbit(got.values.imag).any()
+    assert_same_bits(got.dense(), per_point_assemble_dense(l, QuotientMap(m)))
+
+
+@pytest.mark.parametrize(
+    "zero, m",
+    [
+        (scale(0.0, five_point()), [[2, 3], [2, -2]]),
+        # nonzero multipliers whose offsets merge and cancel on the torus
+        (MultiplicationOperator(SQUARE, POINT, POINT, {(0, 0): [[1.0]], (0, 2): [[-1.0]]}), [[5, 0], [0, 2]]),
+    ],
+    ids=["no-multipliers", "cancelled"],
+)
+def test_zero_operator_has_no_triples(zero, m):
+    got = assemble_dense(zero, m)
+    assert_triple_form(got)
+    assert len(got.values) == 0 and got.shape == (10, 10)
+    assert_same_bits(got.dense(), np.zeros((10, 10), dtype=complex))
+    assert translation_residual(got, zero.shape) == 0.0
+    assert dense_spectrum(got) == [0j] * 10
 
 
 def test_dense_spectrum_trivial_cases():
@@ -164,8 +249,6 @@ def test_dense_spectrum_trivial_cases():
     assert np.allclose(sorted(ev.real for ev in evs), np.ones(6), atol=1e-14)
 
     zero = MultiplicationOperator(SQUARE, POINT, POINT, {(0, 0): [[1.0]]})
-    from stencilfa.operator import scale
-
     evs = dense_spectrum(assemble_dense(scale(0.0 + 0j, zero), [[2, 0], [0, 2]]))
     assert max(abs(ev) for ev in evs) < 1e-15
 
@@ -173,7 +256,7 @@ def test_dense_spectrum_trivial_cases():
 @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
 def test_dense_spectrum_rejects_non_square(shape):
     with pytest.raises(ValueError, match="dense spectrum needs a square matrix"):
-        dense_spectrum(np.ones(shape))
+        dense_spectrum(torus_triples(np.ones(shape)))
 
 
 def _draw_block_matrix(data) -> tuple[np.ndarray, bool]:
@@ -226,7 +309,7 @@ def _draw_block_matrix(data) -> tuple[np.ndarray, bool]:
 def test_dense_spectrum_equals_eigvals_of_whole_matrix(data):
     a, connected = _draw_block_matrix(data)
     n = len(a)
-    got = dense_spectrum(a)
+    got = dense_spectrum(torus_triples(a))
     want = np.linalg.eigvals(a)
     assert len(got) == n
     assert spectrum_distance(got, want) <= 1e-12 * np.linalg.norm(a)
@@ -243,7 +326,7 @@ def test_dense_spectrum_equals_per_component_bfs(data):
     a, _ = _draw_block_matrix(data)
     if data.draw(st.booleans()):
         a = a.real.copy()
-    assert dense_spectrum(a) == bfs_dense_spectrum(a)
+    assert dense_spectrum(torus_triples(a)) == bfs_dense_spectrum(a)
 
 
 @pytest.mark.parametrize("example, res", _GALLERY_TORI)
@@ -251,8 +334,8 @@ def test_dense_spectrum_of_gallery_operators_equals_per_component_bfs(example, r
     m = res * np.eye(2, dtype=int) if isinstance(res, int) else res
     for op in build(example).operators.values():
         if op.domain_se == op.codomain_se:
-            dense = assemble_dense(op, m)
-            assert dense_spectrum(dense) == bfs_dense_spectrum(dense)
+            triples = assemble_dense(op, m)
+            assert dense_spectrum(triples) == bfs_dense_spectrum(triples.dense())
 
 
 def test_dense_spectrum_matches_symbol_union():
@@ -399,7 +482,7 @@ def test_harmonic_invariance():
     # the dense operator maps each harmonic subspace span{e_{l,k}} to itself
     rb = red_black_laplacian()
     m = [[3, 0], [0, 3]]
-    dense = assemble_dense(rb, m)
+    dense = assemble_dense(rb, m).dense()
     vecs = wave_basis(rb.lattice, m, rb.domain_se)
     n_t = 9
     width = 2
@@ -417,13 +500,13 @@ def test_harmonic_invariance():
 def test_invariance_of_identity_is_zero():
     ident = identity_operator(SQUARE, POINT)
     m = [[3, 0], [0, 3]]
-    assert translation_residual(assemble_dense(ident, m), SQUARE, m, ident.shape) == 0.0
+    assert translation_residual(assemble_dense(ident, m), ident.shape) == 0.0
 
 
 def test_invariance_of_laplacian():
     lap = five_point()
     m = [[4, 0], [0, 3]]
-    assert translation_residual(assemble_dense(lap, m), lap.lattice, m, lap.shape) < 1e-10
+    assert translation_residual(assemble_dense(lap, m), lap.shape) < 1e-10
 
 
 def test_invariance_of_rectangular_operator():
@@ -435,14 +518,14 @@ def test_invariance_of_rectangular_operator():
         {(0, 0): [[1.0, 0.5]], (1, 0): [[0.0, 0.5]]},
     )
     m = [[3, 0], [0, 2]]
-    assert translation_residual(assemble_dense(r, m), r.lattice, m, r.shape) < 1e-10
+    assert translation_residual(assemble_dense(r, m), r.shape) < 1e-10
 
 
 def test_position_dependent_matrix_flagged():
     # a diagonal that depends on the torus point is not translation invariant
     m = [[3, 0], [0, 3]]
     bad = np.diag(np.arange(1.0, 10.0))
-    resid = translation_residual(bad, SQUARE, m, (1, 1))
+    resid = translation_residual(torus_triples(bad, QuotientMap(m)), (1, 1))
     assert resid > 0.1
 
 
@@ -470,7 +553,7 @@ def test_translation_residual_matches_dense_permutation_formula():
     rng = np.random.default_rng(3)
     size = (10 * shape[0], 10 * shape[1])
     bad = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    resid = translation_residual(bad, SQUARE, m, shape)
+    resid = translation_residual(torus_triples(bad, QuotientMap(m)), shape)
     assert resid > 1.0
     assert resid == pytest.approx(dense_permutation_residual(bad, 2, m, shape), rel=1e-12)
 
@@ -486,8 +569,7 @@ def test_translation_residual_matches_dense_permutation_on_sparse_matrices(data)
     size = (n_pts * mc, n_pts * md)
     density = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
     matrix = np.where(rng.random(size) < density, rng.standard_normal(size) + 1j * rng.standard_normal(size), 0)
-    lattice = Lattice(np.eye(dim))
-    got = translation_residual(matrix, lattice, m, (mc, md))
+    got = translation_residual(torus_triples(matrix, QuotientMap(m)), (mc, md))
     assert got == pytest.approx(dense_permutation_residual(matrix, dim, m, (mc, md)), rel=1e-12)
 
 
@@ -496,7 +578,7 @@ def test_translation_residual_rejects_wrong_matrix_size(size, shape):
     m = [[2, 3], [2, -2]]  # 10 torus points
     expected = (10 * shape[0], 10 * shape[1])
     with pytest.raises(ValueError, match=re.escape(f"expected {expected}")):
-        translation_residual(np.ones(size), SQUARE, m, shape)
+        translation_residual(torus_triples(np.ones(size), QuotientMap(m)), shape)
 
 
 # ------------------------------------------------------------- composition
@@ -511,8 +593,8 @@ def test_assembly_respects_composition():
         {(0, 0): [[0.5]], (1, 1): [[0.25j]], (-1, 0): [[-0.125]]},
     )
     m = [[3, 0], [0, 4]]
-    left = assemble_dense(mul(l, g), m)
-    right = assemble_dense(l, m) @ assemble_dense(g, m)
+    left = assemble_dense(mul(l, g), m).dense()
+    right = assemble_dense(l, m).dense() @ assemble_dense(g, m).dense()
     assert np.linalg.norm(left - right) < 1e-10
 
 
@@ -520,7 +602,7 @@ def test_eval_dense_equals_manual_assembly():
     l = five_point()
     m = [[2, 0], [0, 2]]
     got = eval_dense(parse("2*L - L*L"), {"L": l}, m)
-    dl = assemble_dense(l, m)
+    dl = assemble_dense(l, m).dense()
     assert np.allclose(got, 2 * dl - dl @ dl, atol=1e-12)
 
 
@@ -528,7 +610,7 @@ def test_eval_dense_identity_token():
     l = five_point()
     m = [[2, 0], [0, 2]]
     got = eval_dense(parse("I - 0.25*L"), {"L": l}, m)
-    dl = assemble_dense(l, m)
+    dl = assemble_dense(l, m).dense()
     assert np.allclose(got, np.eye(4) - 0.25 * dl, atol=1e-13)
 
 
@@ -536,7 +618,7 @@ def test_block_ordering_documented_layout():
     # structure slot fastest, torus point in quotient-listing order: for the
     # red-black crystal on M = diag(2,1) the listing is (0,0), (1,0)
     rb = red_black_laplacian()
-    dense = assemble_dense(rb, [[2, 0], [0, 1]])
+    dense = assemble_dense(rb, [[2, 0], [0, 1]]).dense()
     assert QuotientMap([[2, 0], [0, 1]]).reps == [(0, 0), (1, 0)]
     assert dense.shape == (4, 4)
     # the (point 0, slot 0) row couples to slot-1 entries of both points

@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf, isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -350,15 +350,6 @@ def _load_bundle(args) -> Bundle:
 # spectrum output
 
 
-def _k_frac_text(num, den: int) -> list[str]:
-    """str(Fraction(n, den)) for every numerator, from integers alone."""
-    out = []
-    for n in num:
-        g = gcd(n, den)
-        out.append(str(n // g) if den // g == 1 else f"{n // g}/{den // g}")
-    return out
-
-
 def _csv_lines(result: SpectrumResult) -> list[str]:
     dim = result.lattice.dim
     header = (
@@ -368,7 +359,7 @@ def _csv_lines(result: SpectrumResult) -> list[str]:
     )
     lines = [",".join(header)]
     for rec in result.records:
-        prefix = _k_frac_text(rec.num, rec.den) + [repr(x) for x in rec.k_phys]
+        prefix = list(rec.k_frac_text) + [repr(x) for x in rec.k_phys]
         for idx, e in enumerate(rec.eigenvalues):
             lines.append(
                 ",".join(prefix + [str(idx), repr(e.real), repr(e.imag), repr(abs(e))])
@@ -384,7 +375,7 @@ def _json_payload(result: SpectrumResult) -> dict:
         "rho_max": result.rho,
         "records": [
             {
-                "k_frac": _k_frac_text(rec.num, rec.den),
+                "k_frac": rec.k_frac_text,
                 "k_phys": list(rec.k_phys),
                 "eigenvalues": [[e.real, e.imag] for e in rec.eigenvalues],
             }
@@ -548,27 +539,27 @@ def cmd_describe(args) -> int:
 def _verify_checks(operators, resolution) -> list[tuple[str, float, float]]:
     invariance: list[tuple[str, float, float]] = []
     spectra: list[tuple[str, float, float]] = []
-    # every operator on one lattice shares its dual-torus listing
-    duals: dict[bytes, list] = {}
+    samples = None
     for name in sorted(operators):
         op = operators[name]
         matrix = assemble_dense(op, resolution)
-        residual = translation_residual(matrix, op.shape)
+        if samples is None:
+            # listed once the first assembly has checked the torus size; its
+            # numerators read only the resolution, so it serves every operator
+            samples = sample_dual_torus(op.lattice, resolution)
+        residual = translation_residual(matrix)
         invariance.append((f"translation invariance  {name}", residual, INVARIANCE_TOL))
         if op.domain_se != op.codomain_se:
             continue
         dense = dense_spectrum(matrix)
-        basis = op.lattice.basis.tobytes()
-        if basis not in duals:
-            duals[basis] = sample_dual_torus(op.lattice, resolution)
-        symbols = np.array([symbol_at(op, s) for s in duals[basis]])
+        symbols = np.array([symbol_at(op, s) for s in samples])
         union = [v for vals in eigenvalues(symbols) for v in vals]
         spectra.append(
             (f"symbol vs dense spectrum  {name}", spectrum_distance(union, dense), SPECTRUM_TOL)
         )
     checks = invariance + spectra
     # the Gram residual reads only the resolution: one value serves every line
-    gram = wave_gram_residual(next(iter(operators.values())).lattice, resolution)
+    gram = wave_gram_residual(samples, matrix.quotient)
     seen: set = set()
     for name in sorted(operators):
         op = operators[name]

@@ -128,6 +128,16 @@ class DualSample:
         """The exact fractional coordinates num/den, built on each access."""
         return tuple(Fraction(n, self.den) for n in self.num)
 
+    @property
+    def k_frac_text(self) -> tuple[str, ...]:
+        """str(Fraction(n, den)) for every numerator, from integers alone."""
+        den = self.den
+        out = []
+        for n in self.num:
+            g = gcd(n, den)
+            out.append(str(n // g) if den // g == 1 else f"{n // g}/{den // g}")
+        return tuple(out)
+
 
 def relation(a: Lattice, c: Lattice) -> Matrix:
     """Exact rational matrix A^-1 C relating two lattice bases."""

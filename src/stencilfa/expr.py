@@ -395,11 +395,9 @@ class _Matrices:
     def pinv(self, a):
         # one pinv_matrix call per matrix of a stack, looked up at call time
         # so that a rebinding of the module global is seen
-        if a.ndim == 2:
-            return pinv_matrix(a)
-        out = np.empty((len(a), a.shape[2], a.shape[1]), dtype=complex)
-        for i, m in enumerate(a):
-            out[i] = pinv_matrix(m)
+        out = np.empty(a.shape[:-2] + (a.shape[-1], a.shape[-2]), dtype=complex)
+        for i in np.ndindex(a.shape[:-2]):
+            out[i] = pinv_matrix(a[i])
         return out
 
 

@@ -259,16 +259,17 @@ def snf(a) -> SnfResult:
     return SnfResult(S=s, U=u, V=v)
 
 
-def rational_reconstruct(x, max_denominator: int = 10**6, tol: float = 1e-9) -> Matrix:
+def rational_reconstruct(x, max_denominator: int = 3000, tol: float = 1e-12) -> Matrix:
     """Reconstruct exact rationals from a float matrix, entry by entry.
 
-    Each entry is replaced by the best rational approximation p/q with q
+    Each entry f is replaced by the best rational approximation p/q with q
     bounded by ``max_denominator`` (continued-fraction expansion as done by
     ``Fraction.limit_denominator``).  A candidate is accepted only when it
-    sits within ``tol`` AND within the unique-reconstruction zone
-    1/(2*q*max_denominator); without the second gate the best approximant of
-    any irrational with a large q would slip under a fixed tolerance, and
-    callers rely on the raised error to detect incommensurable lattice pairs.
+    sits within ``tol * max(1, |f|)`` AND within the unique-reconstruction
+    zone 1/(2*q*max_denominator).  Callers rely on the raised error to detect
+    incommensurable lattice pairs, so both are tight (q <= 10^6 within 1e-9
+    passes about half of all floats); a relation that needs a larger q is
+    reported as not rationally related.
     """
     out: Matrix = []
     for row in x:
@@ -279,7 +280,7 @@ def rational_reconstruct(x, max_denominator: int = 10**6, tol: float = 1e-9) -> 
                 continue
             f = float(val)
             approx = Fraction(f).limit_denominator(max_denominator)
-            gate = min(tol, 0.5 / (approx.denominator * max_denominator))
+            gate = min(tol * max(1.0, abs(f)), 0.5 / (approx.denominator * max_denominator))
             if abs(float(approx) - f) > gate:
                 raise ValueError("lattices not rationally related")
             new_row.append(_simplify(approx))

@@ -21,11 +21,11 @@ dense block and solves each block with the narrowest exact LAPACK driver:
 real geev or syevd for a block without imaginary parts, heevd for an
 exactly Hermitian one, complex geev otherwise, one stacked call per block
 size and driver.  The wave-basis Gram check is taken on the (samples,
-points) phase matrix the basis is built from.  The assembled matrix and
-the residual are those of a dense per-offset assembly bit for bit, and the
-blocks are its diagonal blocks; their spectrum agrees with the whole
-matrix's to rounding.  spectrum_distance matches over the distinct values
-of its second list.
+points) phase matrix of a listing and torus the caller already holds.  The
+assembled matrix and the residual are those of a dense per-offset assembly
+bit for bit, and the blocks are its diagonal blocks; their spectrum agrees
+with the whole matrix's to rounding.  spectrum_distance matches over the
+distinct values of its second list.
 
 Sizes are deliberately capped (|det M| <= 10^4 block rows): this module is
 for desk-scale verification, not production runs.
@@ -188,35 +188,37 @@ def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
     phase is taken from the exact residue p = (K.x) mod d: i^(4p // d) times
     exp(i*pi/2 * (4p mod d)/d), exact at every multiple of a quarter turn.
     """
-    return list(np.kron(_wave_phases(a, m), np.eye(len(se))))
-
-
-def _wave_phases(a: Lattice, m) -> np.ndarray:
-    """(samples, torus points) matrix P of exp(+2*pi*i*<k_frac, x>);
-    wave_basis(a, m, se) is the rows of kron(P, I_|se|)."""
     qm = _torus_quotient(a, m)
-    samples = sample_dual_torus(a, m)
+    return list(np.kron(_wave_phases(sample_dual_torus(a, m), qm), np.eye(len(se))))
+
+
+def _wave_phases(samples, quotient: QuotientMap) -> np.ndarray:
+    """(samples, torus points) matrix P of exp(+2*pi*i*<k_frac, x>) over the
+    listing of ``quotient``; wave_basis(a, m, se) is the rows of kron(P, I_|se|)."""
     d = samples[0].den
     k_num = np.array([s.num for s in samples])
-    quarters, rest = np.divmod(4 * (k_num @ np.array(qm.reps).T % d), d)
+    quarters, rest = np.divmod(4 * (k_num @ np.array(quotient.reps).T % d), d)
     return _QUARTER_TURNS[quarters] * np.exp(0.5j * pi * rest / d)
 
 
-def wave_gram_residual(a: Lattice, m) -> float:
-    """max |G - I| for the averaged Gram matrix G of wave_basis(a, m, se).
+def wave_gram_residual(samples, quotient: QuotientMap) -> float:
+    """max |G - I| for the averaged Gram matrix G of the wave basis on the
+    dual-torus listing ``samples`` and the torus ``quotient`` of one M, as
+    sample_dual_torus and any TorusTriples of that M hold them.
 
     The basis is kron(P, I_|se|) for the phase matrix P, so its Gram matrix
     is kron(conj(P) P^T / |T|, I_|se|) and the residual is the same for every
-    structure element; it is taken on the (samples, samples) factor.
+    structure element and lattice; it is taken on the (samples, samples) factor.
     """
-    p = _wave_phases(a, m)
+    p = _wave_phases(samples, quotient)
     gram = p.conj() @ p.T / p.shape[1]
     return float(np.abs(gram - np.eye(len(p))).max())
 
 
-def translation_residual(matrix: TorusTriples, shape: tuple[int, int]) -> float:
+def translation_residual(matrix: TorusTriples) -> float:
     """Max Frobenius commutator norm of a torus matrix with the primitive
-    translations of its torus; shape gives the (codomain, domain) block sizes.
+    translations of its torus; the block sizes are the shape over the torus
+    points, and a shape that does not split into blocks is a ValueError.
 
     With T the block permutation of one primitive step, ||A T - T A|| equals
     ||A - T A T^-1||, and T A T^-1 is A with rows and columns re-indexed.
@@ -226,17 +228,13 @@ def translation_residual(matrix: TorusTriples, shape: tuple[int, int]) -> float:
     """
     qm = matrix.quotient
     n_pts = len(qm.reps)
-    mc, md = shape
-    expected = (n_pts * mc, n_pts * md)
-    if matrix.shape != expected:
-        raise ValueError(
-            f"torus matrix has shape {matrix.shape}, expected {expected} "
-            f"for {n_pts} torus points and blocks {shape}"
-        )
+    mc, md = (size // n_pts for size in matrix.shape)
+    if matrix.shape != (n_pts * mc, n_pts * md):
+        raise ValueError(f"torus matrix of shape {matrix.shape} does not split over {n_pts} points")
     values = matrix.values
     if not len(values):
         return 0.0
-    width = expected[1]
+    width = matrix.shape[1]
     keys = matrix.rows * width + matrix.cols
 
     def find(rows, cols):

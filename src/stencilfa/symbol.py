@@ -136,10 +136,6 @@ def eigenvalues(mtx) -> list:
     return np.linalg.eigvals(arr).tolist()
 
 
-def _frac_text(k_frac) -> str:
-    return "(" + ", ".join(str(f) for f in k_frac) + ")"
-
-
 #: Samples per stacked evaluation.  On graphene at res 41 the time is flat for
 #: blocks of 32 to 512, while one stack of all 1681 samples raises the peak
 #: memory of the process from 33 to 50 MB.
@@ -150,13 +146,14 @@ def _block_records(expr, named, block: list[DualSample]) -> list[SpectrumRecord]
     """Records of a block of samples: one walk over the stacked symbols and
     one eigvals call for the whole block."""
     env = {name: np.array([symbol_at(op, s) for s in block]) for name, op in named.items()}
+    k_frac = "(" + ", ".join(block[0].k_frac_text) + ")"
     try:
         value = expr.eval_matrices(env)
     except ValueError as exc:
-        raise ValueError(f"expression failed at k_frac={_frac_text(block[0].k_frac)}: {exc}") from exc
+        raise ValueError(f"expression failed at k_frac={k_frac}: {exc}") from exc
     if value.shape[-2] != value.shape[-1]:
         raise ValueError(
-            f"expression shape mismatch at k_frac={_frac_text(block[0].k_frac)}: "
+            f"expression shape mismatch at k_frac={k_frac}: "
             f"result is {value.shape[-2:]}"
         )
     # an expression of identities alone is one matrix for every sample

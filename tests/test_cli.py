@@ -9,7 +9,8 @@ import pytest
 
 from oracles import fraction_symbol_at, pair_eigenvalues
 from stencilfa import cli
-from stencilfa.cli import _k_frac_text, load_operator_file, main
+from stencilfa.cli import load_operator_file, main
+from stencilfa.crystal import DualSample
 from stencilfa.gallery import build
 from stencilfa.oracle import assemble_dense, dense_spectrum
 
@@ -154,8 +155,8 @@ def test_spectrum_json_format(tmp_path, capsys):
 
 @pytest.mark.parametrize("den", [1, 2, 3, 12, 41, 64, 360])
 def test_k_frac_text_matches_fraction(den):
-    nums = range(den)
-    assert _k_frac_text(nums, den) == [str(Fraction(n, den)) for n in nums]
+    nums = tuple(range(den))
+    assert DualSample(nums, den, ()).k_frac_text == tuple(str(Fraction(n, den)) for n in nums)
 
 
 def test_spectrum_matrix_resolution(capsys):
@@ -293,6 +294,17 @@ def test_expression_without_identifier_is_expression_error(capsys):
     assert out == ""
 
 
+def test_bare_identity_on_rectangular_operator_is_expression_error(capsys):
+    code, out, err = run(
+        capsys, "spectrum", "--example", "graphene", "--resolution", "3",
+        "--expr", "R + I",
+    )
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "bare" in err and "k_frac=(0, 0)" in err
+
+
 def _file_with_expression(tmp_path, capsys, expr):
     path = tmp_path / "rb.json"
     run(capsys, "describe", "--example", "laplacian-rb", "--format", "json", "--output", str(path))
@@ -418,6 +430,43 @@ def test_verify_torus_above_dense_cap_is_an_error_line(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "too large" in err
+
+
+@pytest.mark.parametrize("example", ["graphene", "curlcurl"])
+def test_verify_lists_the_dual_torus_once(example, monkeypatch):
+    listed = []
+    sample = cli.sample_dual_torus
+
+    def spy(a, m):
+        samples = sample(a, m)
+        listed.append(len(samples))
+        return samples
+
+    monkeypatch.setattr(cli, "sample_dual_torus", spy)
+    monkeypatch.setattr("stencilfa.oracle.sample_dual_torus", spy)
+    cli._verify_checks(build(example).operators, 10 * np.eye(2, dtype=int))
+    assert listed == [100]
+
+
+def test_verify_rectangular_operators_only(tmp_path, capsys):
+    path = tmp_path / "curlcurl.json"
+    run(capsys, "describe", "--example", "curlcurl", "--format", "json", "--output", str(path))
+    raw = json.loads(path.read_text())
+    raw["operators"] = {name: raw["operators"][name] for name in ("R", "R_N")}
+    del raw["expr"]
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--resolution", "4")
+    assert code == 0
+    labels = [line[:44].rstrip() for line in out.splitlines()]
+    assert labels == [
+        "translation invariance  R",
+        "translation invariance  R_N",
+        "wave basis Gram  R/domain",
+        "wave basis Gram  R/codomain",
+        "wave basis Gram  R_N/domain",
+        "wave basis Gram  R_N/codomain",
+    ]
+    assert "FAIL" not in out
 
 
 def test_verify_checks_never_hold_a_whole_torus_matrix():

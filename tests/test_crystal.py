@@ -118,6 +118,15 @@ def test_lcm_unrelated_raises():
         lcm_lattice(a, b)
 
 
+def test_lcm_with_irrational_scale_raises():
+    # sqrt(6) has a rational approximant within 1e-9 of it at a denominator
+    # below 10^6; accepting it made an index-4.4e12 "common sublattice"
+    a = Lattice(np.eye(2))
+    b = Lattice(math.sqrt(6) * np.eye(2))
+    with pytest.raises(ValueError, match="no common sublattice"):
+        lcm_lattice(a, b)
+
+
 def test_dual_basis_inner_products():
     a = Lattice([[1.5, 1.5], [math.sqrt(3) / 2, -math.sqrt(3) / 2]])
     d = dual_basis(a)

@@ -80,6 +80,12 @@ def test_rational_reconstruct_irrational_fails():
         rational_reconstruct([[math.pi]], max_denominator=100, tol=1e-9)
 
 
+@pytest.mark.parametrize("value", [math.sqrt(6), 1 / math.sqrt(3), math.sqrt(1999) / 7, math.e])
+def test_rational_reconstruct_rejects_irrationals_by_default(value):
+    with pytest.raises(ValueError, match="lattices not rationally related"):
+        rational_reconstruct([[value]])
+
+
 def test_mat_inv_round_trip():
     a = [[2, 3], [2, -2]]
     assert mat_mul(a, mat_inv(a)) == identity_matrix(2)

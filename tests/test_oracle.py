@@ -239,7 +239,7 @@ def test_zero_operator_has_no_triples(zero, m):
     assert_triple_form(got)
     assert len(got.values) == 0 and got.shape == (10, 10)
     assert_same_bits(got.dense(), np.zeros((10, 10), dtype=complex))
-    assert translation_residual(got, zero.shape) == 0.0
+    assert translation_residual(got) == 0.0
     assert dense_spectrum(got) == [0j] * 10
 
 
@@ -471,11 +471,14 @@ def _gallery_spaces(example):
     ids=["laplacian-rb-skew", "graphene-4", "three-slots"],
 )
 def test_wave_gram_residual_matches_full_basis(spaces, m, monkeypatch):
+    def gram(a):
+        return wave_gram_residual(sample_dual_torus(a, m), QuotientMap(m))
+
     for a, se in spaces:
-        assert abs(wave_gram_residual(a, m) - _full_gram_residual(a, m, se)) <= 1e-15
+        assert abs(gram(a) - _full_gram_residual(a, m, se)) <= 1e-15
     monkeypatch.setattr("stencilfa.oracle._QUARTER_TURNS", np.array([1, 1j, -1, 1j]))
     for a, _ in spaces:
-        assert wave_gram_residual(a, m) > GRAM_TOL
+        assert gram(a) > GRAM_TOL
 
 
 def test_harmonic_invariance():
@@ -500,13 +503,13 @@ def test_harmonic_invariance():
 def test_invariance_of_identity_is_zero():
     ident = identity_operator(SQUARE, POINT)
     m = [[3, 0], [0, 3]]
-    assert translation_residual(assemble_dense(ident, m), ident.shape) == 0.0
+    assert translation_residual(assemble_dense(ident, m)) == 0.0
 
 
 def test_invariance_of_laplacian():
     lap = five_point()
     m = [[4, 0], [0, 3]]
-    assert translation_residual(assemble_dense(lap, m), lap.shape) < 1e-10
+    assert translation_residual(assemble_dense(lap, m)) < 1e-10
 
 
 def test_invariance_of_rectangular_operator():
@@ -518,14 +521,14 @@ def test_invariance_of_rectangular_operator():
         {(0, 0): [[1.0, 0.5]], (1, 0): [[0.0, 0.5]]},
     )
     m = [[3, 0], [0, 2]]
-    assert translation_residual(assemble_dense(r, m), r.shape) < 1e-10
+    assert translation_residual(assemble_dense(r, m)) < 1e-10
 
 
 def test_position_dependent_matrix_flagged():
     # a diagonal that depends on the torus point is not translation invariant
     m = [[3, 0], [0, 3]]
     bad = np.diag(np.arange(1.0, 10.0))
-    resid = translation_residual(torus_triples(bad, QuotientMap(m)), (1, 1))
+    resid = translation_residual(torus_triples(bad, QuotientMap(m)))
     assert resid > 0.1
 
 
@@ -553,7 +556,7 @@ def test_translation_residual_matches_dense_permutation_formula():
     rng = np.random.default_rng(3)
     size = (10 * shape[0], 10 * shape[1])
     bad = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    resid = translation_residual(torus_triples(bad, QuotientMap(m)), shape)
+    resid = translation_residual(torus_triples(bad, QuotientMap(m)))
     assert resid > 1.0
     assert resid == pytest.approx(dense_permutation_residual(bad, 2, m, shape), rel=1e-12)
 
@@ -569,16 +572,15 @@ def test_translation_residual_matches_dense_permutation_on_sparse_matrices(data)
     size = (n_pts * mc, n_pts * md)
     density = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
     matrix = np.where(rng.random(size) < density, rng.standard_normal(size) + 1j * rng.standard_normal(size), 0)
-    got = translation_residual(torus_triples(matrix, QuotientMap(m)), (mc, md))
+    got = translation_residual(torus_triples(matrix, QuotientMap(m)))
     assert got == pytest.approx(dense_permutation_residual(matrix, dim, m, (mc, md)), rel=1e-12)
 
 
-@pytest.mark.parametrize("size, shape", [((21, 31), (2, 3)), ((20, 30), (3, 2)), ((10, 10), (2, 3))])
-def test_translation_residual_rejects_wrong_matrix_size(size, shape):
+@pytest.mark.parametrize("size", [(21, 31), (20, 35), (25, 30)])
+def test_translation_residual_rejects_wrong_matrix_size(size):
     m = [[2, 3], [2, -2]]  # 10 torus points
-    expected = (10 * shape[0], 10 * shape[1])
-    with pytest.raises(ValueError, match=re.escape(f"expected {expected}")):
-        translation_residual(torus_triples(np.ones(size), QuotientMap(m)), shape)
+    with pytest.raises(ValueError, match=re.escape(f"shape {size} does not split over 10 points")):
+        translation_residual(torus_triples(np.ones(size), QuotientMap(m)))
 
 
 # ------------------------------------------------------------- composition

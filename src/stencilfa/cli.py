@@ -27,11 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from .crystal import Lattice, StructureElement, sample_dual_torus
-from .expr import parse
+from .expr import EvaluationError, parse
 from .gallery import build, entry_names
 from .intlat import det_exact
 from .operator import MultiplicationOperator
 from .oracle import (
+    TorusTooLargeError,
     assemble_dense,
     dense_spectrum,
     spectrum_distance,
@@ -274,13 +275,8 @@ def _operator_to_json(op: MultiplicationOperator) -> dict:
         "domain_se": [[str(c) for c in p] for p in op.domain_se],
         "codomain_se": [[str(c) for c in p] for p in op.codomain_se],
         "multipliers": [
-            {
-                "offset": list(off),
-                "matrix": [
-                    [[x.real, x.imag] for x in row] for row in op.multiplier(off)
-                ],
-            }
-            for off in op.offsets()
+            {"offset": list(off), "matrix": [[[x.real, x.imag] for x in row] for row in mat]}
+            for off, mat in op.multipliers.items()
         ],
     }
 
@@ -431,11 +427,10 @@ def cmd_spectrum(args) -> int:
     env = {name: bundle.operators[name] for name in sorted(ast.identifiers())}
     try:
         result = compute_spectrum(ast, env, resolution)
+    except EvaluationError as exc:
+        raise ExpressionError(str(exc)) from None
     except ValueError as exc:
-        message = str(exc)
-        if "unbound identifier" in message or "bare" in message:
-            raise ExpressionError(message) from None
-        raise IncompatibilityError(message) from None
+        raise IncompatibilityError(str(exc)) from None
 
     if args.format == "json":
         text = json.dumps(_json_payload(result), indent=2) + "\n"
@@ -507,9 +502,9 @@ def _describe_text(bundle: Bundle, operators: dict[str, MultiplicationOperator])
         lines.extend(_matrix_block(op.lattice.basis, "    "))
         lines.append(f"  domain structure element:   {_se_text(op.domain_se)}")
         lines.append(f"  codomain structure element: {_se_text(op.codomain_se)}")
-        for off in op.offsets():
+        for off, mat in op.multipliers.items():
             lines.append(f"  multiplier at offset ({', '.join(str(x) for x in off)}):")
-            lines.extend(_matrix_block(op.multiplier(off), "    "))
+            lines.extend(_matrix_block(mat, "    "))
     return "\n".join(lines) + "\n"
 
 
@@ -580,7 +575,7 @@ def cmd_verify(args) -> int:
         resolution = 3 * np.eye(bundle.dim, dtype=int)
     try:
         checks = _verify_checks(bundle.operators, resolution)
-    except ValueError as exc:  # the dense oracle refuses tori above its size cap
+    except TorusTooLargeError as exc:
         raise SchemaError(str(exc)) from None
 
     failed = False

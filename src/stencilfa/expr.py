@@ -57,6 +57,11 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"syntax error at offset {offset}: expected {', '.join(self.expected)}")
 
 
+class EvaluationError(ValueError):
+    """An evaluation failure the expression itself causes: an unbound name,
+    a bare I with no square context, or a bare identity as the result."""
+
+
 @dataclass(frozen=True)
 class Ident:
     name: str
@@ -347,7 +352,7 @@ def _lookup(env, name: str):
     try:
         return env[name]
     except KeyError:
-        raise ValueError(f"unbound identifier '{name}'") from None
+        raise EvaluationError(f"unbound identifier '{name}'") from None
 
 
 class _Matrices:
@@ -366,7 +371,7 @@ class _Matrices:
 
     def eye_like(self, c: complex, like):
         if like.shape[-2] != like.shape[-1]:
-            raise ValueError(
+            raise EvaluationError(
                 f"bare I cannot be added to a non-square matrix of shape {like.shape[-2:]}"
             )
         return c * np.eye(like.shape[-1], dtype=complex)
@@ -412,7 +417,7 @@ class _Operators:
 
     def eye_like(self, c: complex, like):
         if like.domain_se != like.codomain_se:
-            raise ValueError("bare I cannot be added to an operator with distinct structure elements")
+            raise EvaluationError("bare I cannot be added to an operator with distinct structure elements")
         return op_scale(c, self.identity(like))
 
     def add(self, a, b, sign: int):
@@ -475,7 +480,7 @@ def _walk(node, env, alg):
 
 def _shaped(value):
     if isinstance(value, complex):
-        raise ValueError("expression reduces to a bare identity with no shape context")
+        raise EvaluationError("expression reduces to a bare identity with no shape context")
     return value
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Entry = int | Fraction
 Matrix = list[list[Entry]]
@@ -194,8 +194,25 @@ def hnf(a) -> HnfResult:
     return HnfResult(H=h, U=u)
 
 
+def _transpose(m) -> Matrix:
+    return [list(col) for col in zip(*m)]
+
+
+def _is_diagonal(m) -> bool:
+    return all(x == 0 for i, row in enumerate(m) for j, x in enumerate(row) if i != j)
+
+
 def snf(a) -> SnfResult:
-    """Smith normal form by alternating row/column gcd elimination."""
+    """Smith normal form from alternating Hermite forms.
+
+    A column round replaces B by its Hermite form B*U, a row round by V*B,
+    the transpose of the Hermite form of B^T.  The rounds alternate until B
+    is diagonal, starting with a column round even for a diagonal input, so
+    that every diagonal entry is positive.  Each diagonal pair (x, y) with x
+    not dividing y then becomes (gcd, lcm) by the unimodular steps
+    [[s, t], [-y/g, x/g]] on the rows and [[1, -t*y/g], [1, s*x/g]] on the
+    columns, where s*x + t*y = g = gcd(x, y).
+    """
     m = _to_matrix(a)
     n = len(m)
     if len(m[0]) != n:
@@ -204,59 +221,31 @@ def snf(a) -> SnfResult:
     u = identity_matrix(n)
     v = identity_matrix(n)
 
-    def swap_rows(i, j):
-        b[i], b[j] = b[j], b[i]
-        v[i], v[j] = v[j], v[i]
+    while True:
+        res = hnf(b)
+        b, u = res.H, mat_mul(u, res.U)
+        if _is_diagonal(b):
+            break
+        res = hnf(_transpose(b))
+        b, v = _transpose(res.H), mat_mul(_transpose(res.U), v)
+        if _is_diagonal(b):
+            break
 
-    def addmul_row(dst, src, q):
-        for c in range(n):
-            b[dst][c] -= q * b[src][c]
-        for c in range(n):
-            v[dst][c] -= q * v[src][c]
-
-    for t in range(n):
-        while True:
-            entries = [(abs(b[r][c]), r, c) for r in range(t, n) for c in range(t, n) if b[r][c] != 0]
-            if not entries:
-                raise ValueError("matrix is singular")
-            _, r, c = min(entries)
-            if r != t:
-                swap_rows(t, r)
-            if c != t:
-                _swap_cols(b, t, c)
-                _swap_cols(u, t, c)
-
-            dirty = False
-            for r in range(t + 1, n):
-                q = b[r][t] // b[t][t]
-                if q:
-                    addmul_row(r, t, q)
-                if b[r][t] != 0:
-                    dirty = True
-            for c in range(t + 1, n):
-                q = b[t][c] // b[t][t]
-                if q:
-                    _addmul_col(b, c, t, q)
-                    _addmul_col(u, c, t, q)
-                if b[t][c] != 0:
-                    dirty = True
-            if dirty:
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = b[i][i], b[j][j]
+            g = gcd(x, y)
+            if g == x:
                 continue
+            s = pow(x // g, -1, y // g)
+            t = (g - s * x) // y
+            b[i][i], b[j][j] = g, x * y // g
+            v[i], v[j] = ([s * p + t * q for p, q in zip(v[i], v[j])],
+                          [(x * q - y * p) // g for p, q in zip(v[i], v[j])])
+            for row in u:
+                row[i], row[j] = row[i] + row[j], (s * x * row[j] - t * y * row[i]) // g
 
-            # enforce divisibility of the remaining block by the pivot
-            bad = next(((r, c) for r in range(t + 1, n) for c in range(t + 1, n)
-                        if b[r][c] % b[t][t] != 0), None)
-            if bad is None:
-                break
-            addmul_row(t, bad[0], -1)  # fold the offending row in and restart
-
-        if b[t][t] < 0:
-            for c in range(n):
-                b[t][c] = -b[t][c]
-                v[t][c] = -v[t][c]
-
-    s = [[_simplify(Fraction(x, d)) for x in row] for row in b]
-    return SnfResult(S=s, U=u, V=v)
+    return SnfResult(S=[[_simplify(Fraction(x, d)) for x in row] for row in b], U=u, V=v)
 
 
 def rational_reconstruct(x, max_denominator: int = 3000, tol: float = 1e-12) -> Matrix:

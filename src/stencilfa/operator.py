@@ -68,7 +68,9 @@ class MultiplicationOperator:
 
     ``multipliers`` is a read-only mapping from offset to a read-only
     matrix, so the stacked form the symbol evaluation caches never goes
-    stale.
+    stale.  It holds the offsets in ascending (lexicographic) order whatever
+    order they were given in, and every consumer reads that one order, so
+    operators with equal multipliers give bit-identical float results.
     """
 
     def __init__(self, lattice: Lattice, domain_se, codomain_se, multipliers):
@@ -89,12 +91,12 @@ class MultiplicationOperator:
             if np.count_nonzero(arr):
                 arr.setflags(write=False)
                 clean[key] = arr
-        self.multipliers = MappingProxyType(clean)
+        self.multipliers = MappingProxyType(dict(sorted(clean.items())))
 
     @cached_property
     def _stack(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
         """The offsets and their multipliers as one read-only (n, rows, cols)
-        array, both in ``multipliers`` order."""
+        array, both in ``multipliers`` order, which is ascending offset order."""
         offsets = tuple(self.multipliers)
         stack = np.array([self.multipliers[off] for off in offsets], dtype=complex)
         stack = stack.reshape((len(offsets),) + self.shape)
@@ -110,8 +112,8 @@ class MultiplicationOperator:
         return (len(self.codomain_se), len(self.domain_se))
 
     def offsets(self) -> list[tuple[int, ...]]:
-        """Offsets in a deterministic (plain lexicographic) order."""
-        return sorted(self.multipliers)
+        """Offsets in ``multipliers`` order, which is plain lexicographic."""
+        return list(self.multipliers)
 
     def multiplier(self, off) -> np.ndarray:
         key = _int_vec(off)

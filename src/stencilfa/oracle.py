@@ -47,10 +47,14 @@ DENSE_CAP = 10**4
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
+class TorusTooLargeError(ValueError):
+    """The torus has more than DENSE_CAP points."""
+
+
 def _torus_quotient(a: Lattice, m) -> QuotientMap:
     mm, count = integer_resolution(a, m)
     if count > DENSE_CAP:
-        raise ValueError(f"torus too large for dense assembly (|det M| = {count} > {DENSE_CAP})")
+        raise TorusTooLargeError(f"torus too large for dense assembly (|det M| = {count} > {DENSE_CAP})")
     return QuotientMap(mm)
 
 
@@ -84,10 +88,10 @@ def assemble_dense(l: MultiplicationOperator, m) -> TorusTriples:
     point i to torus point j modulo L(Z); periodic wrap-around merges offsets
     that become equivalent on the finite torus.  Offsets with the same
     residue connect the same blocks at every point, so their multipliers are
-    summed onto +0.0 in ``multipliers`` order, as a dense += per offset
-    would sum each block, and entries that cancel to exactly zero are
-    dropped.  A residue's point map is the listing index of every
-    representative plus the residue.
+    summed onto +0.0 in ``multipliers`` order (ascending offsets), as a
+    dense += per offset would sum each block, and entries that cancel to
+    exactly zero are dropped.  A residue's point map is the listing index of
+    every representative plus the residue.
     """
     qm = _torus_quotient(l.lattice, m)
     reps = np.array(qm.reps)

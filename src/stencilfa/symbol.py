@@ -17,8 +17,9 @@ phases come from integer numerators, with no Fraction arithmetic per sample:
 with k_frac = num/den, the turn of offset j is the exact residue
 (<num, j> mod den) / den, rounded to a float once by int true division, and
 one vectorized exp covers all offsets of an operator.  The sum over offsets
-runs in ``multipliers`` order on the operator's cached (n, rows, cols)
-multiplier stack.
+runs in ``multipliers`` order, which is ascending offset order however the
+operator was built, on the operator's cached (n, rows, cols) multiplier
+stack.
 
 compute_spectrum implements the full sampling pipeline: rewrite all operators
 on their coarsest common sublattice, sample the dual torus for Z = C*M,
@@ -150,7 +151,8 @@ def _block_records(expr, named, block: list[DualSample]) -> list[SpectrumRecord]
     try:
         value = expr.eval_matrices(env)
     except ValueError as exc:
-        raise ValueError(f"expression failed at k_frac={k_frac}: {exc}") from exc
+        # same type, so callers can still tell the expression's own errors apart
+        raise type(exc)(f"expression failed at k_frac={k_frac}: {exc}") from exc
     if value.shape[-2] != value.shape[-1]:
         raise ValueError(
             f"expression shape mismatch at k_frac={k_frac}: "

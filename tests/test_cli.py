@@ -228,6 +228,17 @@ def test_spectrum_output_byte_stable_across_runs(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("example", ["graphene", "curlcurl", "laplacian-rb"])
+def test_spectrum_from_described_file_matches_example(example, tmp_path, capsys):
+    path = tmp_path / "ops.json"
+    run(capsys, "describe", "--example", example, "--format", "json", "--output", str(path))
+    direct, loaded = tmp_path / "direct.csv", tmp_path / "loaded.csv"
+    for source, out in ((["--example", example], direct), (["--input", str(path)], loaded)):
+        code, _, _ = run(capsys, "spectrum", *source, "--resolution", "6", "--output", str(out))
+        assert code == 0
+    assert loaded.read_bytes() == direct.read_bytes()
+
+
 def test_spectrum_from_operator_file(tmp_path, capsys):
     path = tmp_path / "graphene.json"
     run(capsys, "describe", "--example", "graphene", "--format", "json", "--output", str(path))
@@ -338,6 +349,16 @@ def test_shape_mismatch_is_incompatibility_error(capsys):
     assert "shape mismatch" in err
 
 
+def test_non_expression_error_mentioning_bare_is_incompatibility(capsys, monkeypatch):
+    def fail(*args):
+        raise ValueError("bare lattice vectors are not rationally related")
+
+    monkeypatch.setattr(cli, "compute_spectrum", fail)
+    code, _, err = run(capsys, "spectrum", "--example", "graphene", "--resolution", "3")
+    assert code == 2
+    assert err == "error: bare lattice vectors are not rationally related\n"
+
+
 def test_bad_parameter_usage(capsys):
     code, _, err = run(
         capsys, "spectrum", "--example", "laplacian-rb", "--param", "omega=1",
@@ -396,6 +417,15 @@ def test_non_finite_file_number_is_schema_error(tmp_path, capsys, key, token):
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def test_verify_check_failure_is_not_a_schema_error(capsys, monkeypatch):
+    def fail(matrix):
+        raise ValueError("torus matrix does not split")
+
+    monkeypatch.setattr(cli, "translation_residual", fail)
+    with pytest.raises(ValueError, match="does not split"):
+        main(["verify", "--example", "graphene", "--resolution", "3"])
 
 
 def test_verify_gallery_entries_pass(capsys):

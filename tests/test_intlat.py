@@ -186,16 +186,20 @@ def test_hnf_shape_invariants(a):
     assert mat_mul(a, res.U) == h
 
 
-@given(square_matrices(3))
+@given(st.sampled_from([3, 4]).flatmap(square_matrices))
+@example([[-1, 0], [0, -110]])  # diagonal already, with negative entries
+@example([[6, 0, 0], [0, 10, 0], [0, 0, 15]])  # diagonal, pairs fail to divide
 @settings(max_examples=100)
 def test_snf_divisibility_chain(a):
     if det_exact(a) == 0:
         return
+    n = len(a)
     res = snf(a)
     s = res.S
-    assert all(s[i][j] == 0 for i in range(3) for j in range(3) if i != j)
-    diag = [s[i][i] for i in range(3)]
+    assert all(s[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+    diag = [s[i][i] for i in range(n)]
     assert all(d > 0 for d in diag)
-    assert diag[1] % diag[0] == 0 and diag[2] % diag[1] == 0
+    assert all(diag[i + 1] % diag[i] == 0 for i in range(n - 1))
     assert mat_mul(mat_mul(res.V, a), res.U) == s
+    assert _unimodular(res.U) and _unimodular(res.V)
     assert diag == elementary_divisors(a)

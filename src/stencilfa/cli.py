@@ -10,6 +10,7 @@ Operator files are JSON: ``dim``, a map of named operators (each with its
 ``lattice`` basis, ``domain_se``/``codomain_se`` points as exact fraction
 strings, and a list of ``{offset, matrix}`` multipliers with entries written
 as ``[re, im]`` pairs), plus an optional default ``expr`` and ``resolution``.
+A file loads into the same ``GalleryEntry`` that a gallery example builds.
 Exit codes: 0 success, 1 schema or usage error, 2 incompatible or failing
 operators, 3 expression error.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from fractions import Fraction
 from math import inf, isfinite
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 
 from .crystal import Lattice, StructureElement, sample_dual_torus
 from .expr import EvaluationError, parse
-from .gallery import build, entry_names
+from .gallery import GalleryEntry, build, entry_names
 from .intlat import det_exact
 from .operator import MultiplicationOperator
 from .oracle import (
@@ -122,12 +123,8 @@ def _require_keys(raw: dict, allowed: set[str], required: set[str], where: str) 
 def _operator_from_json(raw, dim: int, where: str) -> MultiplicationOperator:
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: expected an object")
-    _require_keys(
-        raw,
-        {"lattice", "domain_se", "codomain_se", "multipliers"},
-        {"lattice", "domain_se", "codomain_se", "multipliers"},
-        where,
-    )
+    keys = {"lattice", "domain_se", "codomain_se", "multipliers"}
+    _require_keys(raw, keys, keys, where)
     rows = raw["lattice"]
     if (
         not isinstance(rows, list)
@@ -178,13 +175,17 @@ def _operator_from_json(raw, dim: int, where: str) -> MultiplicationOperator:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def _resolution_matrix(value, dim: int, where: str) -> np.ndarray:
+def _diagonal(diag) -> list[list[int]]:
+    return [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
+
+
+def _resolution_matrix(value, dim: int, where: str) -> tuple[tuple[int, ...], ...]:
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected an integer or an integer matrix")
     if isinstance(value, int):
         if value == 0:
             raise SchemaError(f"{where}: resolution 0 is singular")
-        value = [[value if i == j else 0 for j in range(dim)] for i in range(dim)]
+        value = _diagonal([value] * dim)
     if (
         isinstance(value, list)
         and len(value) == dim
@@ -197,14 +198,13 @@ def _resolution_matrix(value, dim: int, where: str) -> np.ndarray:
     ):
         if det_exact(value) == 0:
             raise SchemaError(f"{where}: resolution matrix is singular")
-        try:
-            return np.array(value, dtype=int)
-        except OverflowError:
-            raise SchemaError(f"{where}: resolution entries must fit in 64-bit integers") from None
+        if any(not -(2**63) <= x < 2**63 for r in value for x in r):
+            raise SchemaError(f"{where}: resolution entries must fit in 64-bit integers")
+        return tuple(tuple(r) for r in value)
     raise SchemaError(f"{where}: expected an integer or a {dim}x{dim} integer matrix")
 
 
-def _parse_resolution_flag(text: str, dim: int) -> np.ndarray:
+def _parse_resolution_flag(text: str, dim: int) -> tuple[tuple[int, ...], ...]:
     stripped = text.strip()
     if stripped.startswith("["):
         try:
@@ -217,8 +217,7 @@ def _parse_resolution_flag(text: str, dim: int) -> np.ndarray:
             diag = [int(p) for p in stripped.split(",")]
             if len(diag) != dim:
                 raise SchemaError(f"--resolution: expected {dim} diagonal entries")
-            value = [[d if i == j else 0 for j in range(dim)] for i, d in enumerate(diag)]
-            return _resolution_matrix(value, dim, "--resolution")
+            return _resolution_matrix(_diagonal(diag), dim, "--resolution")
         return _resolution_matrix(int(stripped), dim, "--resolution")
     except ValueError:
         raise SchemaError(
@@ -226,19 +225,9 @@ def _parse_resolution_flag(text: str, dim: int) -> np.ndarray:
         ) from None
 
 
-@dataclass
-class Bundle:
-    """A named operator set plus its default analysis inputs."""
-
-    name: str
-    dim: int
-    operators: dict[str, MultiplicationOperator]
-    expr: str | None
-    resolution: np.ndarray | None
-    parameters: dict[str, float] = field(default_factory=dict)
-
-
-def load_operator_file(path: str) -> Bundle:
+def load_operator_file(path: str) -> GalleryEntry:
+    """The file as a GalleryEntry named by its path, with no parameters and
+    None for an absent ``expr`` or ``resolution``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -266,7 +255,7 @@ def load_operator_file(path: str) -> Bundle:
     resolution = raw.get("resolution")
     if resolution is not None:
         resolution = _resolution_matrix(resolution, dim, f"{path}: resolution")
-    return Bundle(path, dim, operators, expr, resolution)
+    return GalleryEntry(path, {}, operators, expr, resolution)
 
 
 def _operator_to_json(op: MultiplicationOperator) -> dict:
@@ -281,20 +270,22 @@ def _operator_to_json(op: MultiplicationOperator) -> dict:
     }
 
 
-def bundle_to_json(bundle: Bundle, operators: dict[str, MultiplicationOperator]) -> dict:
+def bundle_to_json(entry: GalleryEntry) -> dict:
+    """The operator-file form of an entry; ``load_operator_file`` reads it back."""
+    operators = entry.operators
     payload: dict = {
-        "dim": bundle.dim,
+        "dim": entry.dim,
         "operators": {name: _operator_to_json(operators[name]) for name in sorted(operators)},
     }
-    if bundle.expr is not None:
+    if entry.expression is not None:
         try:
-            keep = parse(bundle.expr).identifiers() <= set(operators)
+            keep = parse(entry.expression).identifiers() <= set(operators)
         except ValueError:
             keep = True
         if keep:
-            payload["expr"] = bundle.expr
-    if bundle.resolution is not None:
-        payload["resolution"] = [[int(x) for x in row] for row in bundle.resolution]
+            payload["expr"] = entry.expression
+    if entry.resolution is not None:
+        payload["resolution"] = [list(row) for row in entry.resolution]
     return payload
 
 
@@ -317,26 +308,17 @@ def _parse_params(items) -> dict[str, float]:
     return params
 
 
-def _load_bundle(args) -> Bundle:
+def _load_entry(args) -> GalleryEntry:
     params = _parse_params(getattr(args, "param", None))
     if args.example is not None:
         try:
-            entry = build(args.example, **params)
+            return build(args.example, **params)
         except TypeError:
             raise SchemaError(
                 f"'{args.example}' does not take parameters {sorted(params)}"
             ) from None
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-        dim = next(iter(entry.operators.values())).dim
-        return Bundle(
-            entry.name,
-            dim,
-            dict(entry.operators),
-            entry.expression,
-            _resolution_matrix(entry.resolution, dim, "resolution"),
-            dict(entry.parameters),
-        )
     if params:
         raise SchemaError("--param only applies to gallery examples")
     return load_operator_file(args.input)
@@ -401,13 +383,13 @@ def _gnuplot_script(csv_path: str, dim: int, title: str) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    bundle = _load_bundle(args)
-    expr_text = args.expr if args.expr is not None else bundle.expr
+    entry = _load_entry(args)
+    expr_text = args.expr if args.expr is not None else entry.expression
     if not expr_text:
         raise SchemaError("no expression given: pass --expr or define one in the file")
-    resolution = bundle.resolution
+    resolution = entry.resolution
     if args.resolution is not None:
-        resolution = _parse_resolution_flag(args.resolution, bundle.dim)
+        resolution = _parse_resolution_flag(args.resolution, entry.dim)
     if resolution is None:
         raise SchemaError("no resolution given: pass --resolution or define one in the file")
     if args.emit_plot and not args.output:
@@ -419,12 +401,12 @@ def cmd_spectrum(args) -> int:
         ast = parse(expr_text)
     except ValueError as exc:
         raise ExpressionError(f"bad expression: {exc}") from None
-    missing = sorted(ast.identifiers() - set(bundle.operators))
+    missing = sorted(ast.identifiers() - set(entry.operators))
     if missing:
         raise ExpressionError(
             f"expression references unknown operators: {', '.join(missing)}"
         )
-    env = {name: bundle.operators[name] for name in sorted(ast.identifiers())}
+    env = {name: entry.operators[name] for name in sorted(ast.identifiers())}
     try:
         result = compute_spectrum(ast, env, resolution)
     except EvaluationError as exc:
@@ -442,7 +424,7 @@ def cmd_spectrum(args) -> int:
         sys.stdout.write(text)
     if args.emit_plot:
         Path(args.emit_plot).write_text(
-            _gnuplot_script(args.output, bundle.dim, bundle.name), encoding="utf-8"
+            _gnuplot_script(args.output, entry.dim, entry.name), encoding="utf-8"
         )
     print(f"rho_max = {result.rho:.8f}")
     return 0
@@ -480,22 +462,20 @@ def _se_text(se: StructureElement) -> str:
     return ", ".join("(" + ", ".join(str(c) for c in p) + ")" for p in se)
 
 
-def _describe_text(bundle: Bundle, operators: dict[str, MultiplicationOperator]) -> str:
-    lines = [bundle.name]
-    if bundle.parameters:
+def _describe_text(entry: GalleryEntry) -> str:
+    lines = [entry.name]
+    if entry.parameters:
         lines[0] += "  (" + ", ".join(
-            f"{k}={v:g}" for k, v in sorted(bundle.parameters.items())
+            f"{k}={v:g}" for k, v in sorted(entry.parameters.items())
         ) + ")"
-    if bundle.expr:
-        lines.append(f"expression: {bundle.expr}")
-    if bundle.resolution is not None:
-        diag = np.diag(bundle.resolution)
-        if np.array_equal(bundle.resolution, diag[0] * np.eye(bundle.dim, dtype=int)):
-            lines.append(f"default resolution: {diag[0]}")
-        else:
-            lines.append(f"default resolution: {bundle.resolution.tolist()}")
-    for name in sorted(operators):
-        op = operators[name]
+    if entry.expression:
+        lines.append(f"expression: {entry.expression}")
+    if entry.resolution is not None:
+        rows = [list(row) for row in entry.resolution]
+        scalar = rows == _diagonal([rows[0][0]] * len(rows))
+        lines.append(f"default resolution: {rows[0][0] if scalar else rows}")
+    for name in sorted(entry.operators):
+        op = entry.operators[name]
         lines.append("")
         lines.append(f"operator {name}  ({op.shape[0]}x{op.shape[1]} multipliers)")
         lines.append("  lattice basis (columns are primitive vectors):")
@@ -509,17 +489,16 @@ def _describe_text(bundle: Bundle, operators: dict[str, MultiplicationOperator])
 
 
 def cmd_describe(args) -> int:
-    bundle = _load_bundle(args)
-    operators = bundle.operators
+    entry = _load_entry(args)
     if args.operator is not None:
-        if args.operator not in operators:
-            known = ", ".join(sorted(operators))
+        if args.operator not in entry.operators:
+            known = ", ".join(sorted(entry.operators))
             raise SchemaError(f"unknown operator '{args.operator}' (has: {known})")
-        operators = {args.operator: operators[args.operator]}
+        entry = replace(entry, operators={args.operator: entry.operators[args.operator]})
     if args.format == "json":
-        text = json.dumps(bundle_to_json(bundle, operators), indent=2) + "\n"
+        text = json.dumps(bundle_to_json(entry), indent=2) + "\n"
     else:
-        text = _describe_text(bundle, operators)
+        text = _describe_text(entry)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -568,13 +547,13 @@ def _verify_checks(operators, resolution) -> list[tuple[str, float, float]]:
 
 
 def cmd_verify(args) -> int:
-    bundle = _load_bundle(args)
+    entry = _load_entry(args)
     if args.resolution is not None:
-        resolution = _parse_resolution_flag(args.resolution, bundle.dim)
+        resolution = _parse_resolution_flag(args.resolution, entry.dim)
     else:
-        resolution = 3 * np.eye(bundle.dim, dtype=int)
+        resolution = _diagonal([3] * entry.dim)
     try:
-        checks = _verify_checks(bundle.operators, resolution)
+        checks = _verify_checks(entry.operators, resolution)
     except TorusTooLargeError as exc:
         raise SchemaError(str(exc)) from None
 

@@ -9,9 +9,10 @@ Grammar (whitespace-insensitive, left-associative, '*' over '+'/'-'):
             | 'adj' '(' expr ')' | '(' expr ')'
     scalar := decimal or complex literal, e.g. 2, 0.5, 2i, 1+0.5i
 
-Scalar literals only make sense as multiplicative prefactors, so a term
-consisting of nothing but scalars is rejected.  'pinv', 'adj' and 'I' are
-reserved words.
+A '-' before a complex literal a+bi negates its first part only, so -1-2i
+is the number -1-2i.  Scalar literals only make sense as multiplicative
+prefactors, so a term consisting of nothing but scalars is rejected.
+'pinv', 'adj' and 'I' are reserved words.
 
 A bare `I` takes its size from context when the expression is evaluated: it
 passes through products, adjoints and pseudo-inverses as a plain complex
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -208,27 +210,24 @@ class _Parser:
             negate = True
             kind, value, offset = self.peek()
         if kind == "number":
-            c = self.scalar_literal()
+            c = self.scalar_literal(negate)
             if leading and not (self.peek()[0] == "op" and self.peek()[1] == "*"):
                 self.fail(["'*' after a scalar literal"])
-            return ("scalar", -c if negate else c, offset)
+            return ("scalar", c, offset)
         node = self.atom()
         return Neg(node) if negate else node
 
-    def scalar_literal(self) -> complex:
+    def scalar_literal(self, negate: bool) -> complex:
+        """A literal; a leading '-' negates only the first part of a+bi."""
         _, text, _ = self.advance()
-        if text.endswith("i"):
-            return complex(0.0, float(text[:-1]))
-        real = float(text)
         kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            nxt = self.tokens[self.pos + 1]
-            if nxt[0] == "number" and nxt[1].endswith("i"):
-                self.advance()
-                self.advance()
-                imag = float(nxt[1][:-1])
-                return complex(real, -imag if value == "-" else imag)
-        return complex(real)
+        nxt = self.tokens[self.pos + 1] if kind == "op" and value in "+-" else ("eof", "")
+        if not text.endswith("i") and nxt[0] == "number" and nxt[1].endswith("i"):
+            self.pos += 2
+            real, imag = float(text), float(nxt[1][:-1])
+            return complex(-real if negate else real, -imag if value == "-" else imag)
+        c = complex(0.0, float(text[:-1])) if text.endswith("i") else complex(float(text))
+        return -c if negate else c
 
     def atom(self):
         kind, value, offset = self.peek()
@@ -301,16 +300,22 @@ def parse(text: str) -> Expression:
 
 
 def render(node) -> str:
-    """Canonical text for an AST; parsing it back yields an identical tree."""
+    """Canonical text for an AST; parsing it back yields an identical tree.
+    Scalars are written without an exponent (see ``literal_text``)."""
     if isinstance(node, Expression):
         node = node.ast
     return _render(node, 0)
 
 
+def literal_text(x: float) -> str:
+    """The shortest round-trip digits of x without an exponent, so the grammar reads x back."""
+    return format(Decimal(repr(x)), "f")
+
+
 def _fmt_float(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x)) if x >= 0 else f"-{-int(x)}"
-    return repr(x)
+    return literal_text(x)
 
 
 def _fmt_scalar(c: complex) -> str:

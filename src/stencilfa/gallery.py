@@ -13,7 +13,7 @@ Three classical analyses ship with the package:
 
 Every multiplier table is transcribed literally; nothing in here is fitted
 or tuned.  Each constructor returns a GalleryEntry bundling the named
-operators, a default analysis expression, and a default sampling resolution,
+operators, a default analysis expression, and a default resolution matrix,
 so the spectra can be reproduced without further input.
 """
 
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .crystal import Lattice, StructureElement
-from .expr import eval_position, parse
+from .expr import eval_position, literal_text, parse
 from .operator import (
     MultiplicationOperator,
     change_structure_element,
@@ -41,14 +41,23 @@ from .operator import (
 
 @dataclass(frozen=True)
 class GalleryEntry:
-    """A named example: operators plus the default analysis setup."""
+    """A named operator set plus its default ``expression`` and ``resolution``.
+
+    ``build`` and ``cli.load_operator_file`` both return one.  Either default
+    may be None (a file without it); ``resolution`` is the matrix, as a tuple
+    of int tuples, that ``compute_spectrum`` takes as ``m``.
+    """
 
     name: str
     parameters: dict[str, float]
     operators: dict[str, MultiplicationOperator]
-    expression: str
-    resolution: int
+    expression: str | None
+    resolution: tuple[tuple[int, ...], ...] | None
     notes: str = ""
+
+    @property
+    def dim(self) -> int:
+        return next(iter(self.operators.values())).dim
 
 
 def laplacian_rb(h: float = 1.0) -> GalleryEntry:
@@ -84,7 +93,7 @@ def laplacian_rb(h: float = 1.0) -> GalleryEntry:
         parameters={"h": h},
         operators={"L": l, "Sr": sr, "Sb": sb, "I": ident},
         expression="(I - pinv(Sb)*L)*(I - pinv(Sr)*L)",
-        resolution=16,
+        resolution=((16, 0), (0, 16)),
         notes="5-point Laplacian, red-black Gauss-Seidel error propagator",
     )
 
@@ -179,7 +188,7 @@ def graphene(omega: float = 0.5) -> GalleryEntry:
     r = MultiplicationOperator(coarse, l_hat.domain_se, se, restrict_table)
     ident = identity_operator(a, se)
 
-    scale = repr(float(omega))
+    scale = literal_text(float(omega))
     sweep = "*".join(f"(I - {scale}*pinv(S{color})*L)" for color in (1, 2, 3, 4))
     cgc = "(I - adj(R)*pinv(R*L*adj(R))*R*L)"
     return GalleryEntry(
@@ -187,7 +196,7 @@ def graphene(omega: float = 0.5) -> GalleryEntry:
         parameters={"omega": omega},
         operators={"L": l, **smoothers, "R": r, "I": ident},
         expression=f"{sweep}*{cgc}*{sweep}",
-        resolution=41,
+        resolution=((41, 0), (0, 41)),
         notes="graphene tight-binding, 4-color hexagon smoother, Galerkin two-grid",
     )
 
@@ -278,7 +287,7 @@ def curlcurl(sigma_h: float = 0.01) -> GalleryEntry:
         parameters={"sigma_h": sigma_h},
         operators={"K": k, "S_E": s_e, "R_N": r_n, "S_N": s_n, "R": r, "I": ident},
         expression="(I - adj(R_N)*pinv(S_N)*R_N*K)*(I - pinv(S_E)*K)",
-        resolution=32,
+        resolution=((32, 0), (0, 32)),
         notes="curl-curl edge discretization, half-hybrid smoother",
     )
 

@@ -153,9 +153,11 @@ def add(l: MultiplicationOperator, g: MultiplicationOperator) -> MultiplicationO
         raise ValueError("incompatible operators: domain structure elements differ")
     if l.codomain_se != g.codomain_se:
         raise ValueError("incompatible operators: codomain structure elements differ")
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for off in l.multipliers.keys() | g.multipliers.keys():
-        out[off] = l.multiplier(off) + g.multiplier(off)
+    lm, gm = l.multipliers, g.multipliers
+    # a one-sided offset takes mat + 0.0, which turns -0.0 into +0.0 just as
+    # adding a zero matrix would
+    out = {off: mat + gm[off] if off in gm else mat + 0.0 for off, mat in lm.items()}
+    out.update((off, mat + 0.0) for off, mat in gm.items() if off not in lm)
     return MultiplicationOperator(l.lattice, l.domain_se, l.codomain_se, out)
 
 

@@ -11,8 +11,10 @@ from oracles import fraction_symbol_at, pair_eigenvalues
 from stencilfa import cli
 from stencilfa.cli import load_operator_file, main
 from stencilfa.crystal import DualSample
+from stencilfa.expr import parse
 from stencilfa.gallery import build
 from stencilfa.oracle import assemble_dense, dense_spectrum
+from stencilfa.symbol import compute_spectrum
 
 
 def run(capsys, *argv):
@@ -73,8 +75,34 @@ def test_describe_json_round_trip(tmp_path, capsys):
             assert np.array_equal(loaded.multiplier(off), op.multiplier(off))
         assert loaded.domain_se == op.domain_se
         assert loaded.codomain_se == op.codomain_se
-    assert bundle.expr == entry.expression
-    assert np.array_equal(bundle.resolution, entry.resolution * np.eye(2, dtype=int))
+    assert bundle.expression == entry.expression
+    assert bundle.resolution == entry.resolution == ((32, 0), (0, 32))
+
+
+@pytest.mark.parametrize("example", ["curlcurl", "graphene", "laplacian-rb"])
+def test_operator_file_loads_the_built_entry(tmp_path, capsys, example):
+    path = tmp_path / f"{example}.json"
+    code, _, _ = run(
+        capsys, "describe", "--example", example, "--format", "json", "--output", str(path)
+    )
+    assert code == 0
+    built = build(example)
+    loaded = load_operator_file(str(path))
+    assert type(loaded) is type(built)
+    assert loaded.operators == built.operators
+    assert loaded.expression == built.expression
+    assert loaded.resolution == built.resolution
+    assert loaded.dim == built.dim == 2
+    assert (loaded.name, loaded.parameters) == (str(path), {})
+    # the library call is the same for both sources; graphene's default 41 is
+    # lowered to keep the test fast
+    res = ((5, 0), (0, 5)) if example == "graphene" else built.resolution
+    spectra = [
+        compute_spectrum(parse(e.expression), e.operators, res)
+        for e in (built, loaded)
+    ]
+    assert spectra[0].records == spectra[1].records
+    assert spectra[0].rho == spectra[1].rho
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +179,18 @@ def test_spectrum_json_format(tmp_path, capsys):
     assert all(len(rec["eigenvalues"]) == 2 for rec in payload["records"])
     rho_line = float(out.strip().splitlines()[-1].split("=")[1])
     assert payload["rho_max"] == pytest.approx(rho_line, abs=1e-8)
+
+
+def test_graphene_weight_with_exponent_repr(capsys):
+    # repr(1e-05) has an exponent; the sweep text must still parse
+    code, out, err = run(
+        capsys, "spectrum", "--example", "graphene", "--param", "omega=0.00001",
+        "--resolution", "3", "--output", "/dev/null",
+    )
+    assert (code, err) == (0, "")
+    rho = float(out.strip().splitlines()[-1].split("=")[1])
+    assert np.isfinite(rho)
+    assert "0.00001*pinv(S1)*L" in build("graphene", omega=0.00001).expression
 
 
 @pytest.mark.parametrize("den", [1, 2, 3, 12, 41, 64, 360])

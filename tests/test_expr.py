@@ -450,6 +450,49 @@ def test_position_route_matches_symbol_route(ast, seed):
     assert np.allclose(via_position, via_symbols, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "text, scalar",
+    [("-1-2i*L", complex(-1, -2)), ("-1+2i*L", complex(-1, 2)), ("2*-1-2i*L", complex(-2, -4))],
+)
+def test_leading_minus_negates_real_part_of_complex_literal(text, scalar):
+    e = parse(text)
+    assert e.ast == ScalarMul(scalar, Ident("L"))
+    assert parse(render(e)).ast == e.ast
+
+
+@pytest.mark.parametrize(
+    "text, scalar, signs",
+    [
+        ("-2*L", complex(-2, 0), [True, True]),
+        ("-2i*L", complex(0, -2), [False, True]),
+        ("-0.5i*L", complex(0, -0.5), [False, True]),
+        ("-0i*L", 0j, [False, True]),
+        ("2*-3*L", complex(-6, 0), [True, True]),
+        ("1-2i*L", complex(1, -2), [False, True]),
+    ],
+)
+def test_one_part_literal_keeps_its_zero_signs(text, scalar, signs):
+    got = parse(text).ast.scalar
+    assert got == scalar
+    assert np.signbit([got.real, got.imag]).tolist() == signs
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("0.00001*L", 1e-05),
+        ("10000000000000000*L", 1e16),
+        ("123456789012345678.5*L", 123456789012345678.5),
+    ],
+)
+def test_render_writes_no_exponent(text, value):
+    e = parse(text)
+    assert e.ast.scalar == value
+    rendered = render(e)
+    assert "e" not in rendered.lower()
+    assert parse(rendered).ast == e.ast
+
+
 def test_render_of_rendered_is_stable():
     for text in ROUND_TRIP_CORPUS:
         once = render(parse(text))

@@ -51,6 +51,16 @@ def test_build_parameter_override():
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
+def test_build_is_a_comparable_value(name):
+    entry = build(name)
+    assert entry == build(name)
+    assert entry.dim == 2
+    n = entry.resolution[0][0]
+    assert entry.resolution == ((n, 0), (0, n))
+    assert all(type(x) is int for row in entry.resolution for x in row)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
 def test_default_expression_parses_and_binds(name):
     entry = build(name)
     ast = parse(entry.expression)

@@ -91,6 +91,30 @@ def test_add_and_scale():
     assert scale(1, lap) == lap
 
 
+def test_add_matches_zero_filled_sum_bit_for_bit():
+    neg0 = complex(-0.0, -0.0)
+    l = MultiplicationOperator(SQUARE, [(0, 0), (0, "1/2")], [(0, 0), (0, "1/2")], {
+        (0, 0): [[1.5, neg0], [complex(-0.0, 2.0), 4.0]],
+        (1, 0): [[neg0, -1.0], [0.25, neg0]],
+        (0, 1): [[-0.0, 3.0], [complex(1.0, -0.0), 0.0]],
+    })
+    g = MultiplicationOperator(SQUARE, l.domain_se, l.codomain_se, {
+        (0, 0): [[-1.5, neg0], [complex(0.0, -2.0), 1.0]],
+        (0, 1): [[-0.0, -3.0], [complex(-1.0, -0.0), neg0]],
+        (-1, 0): [[neg0, 7.0], [neg0, 1e-300]],
+    })
+    for a, b in ((l, g), (g, l), (l, l)):
+        # the zero-filled formula: a zeros matrix stands in for a missing offset
+        want = {
+            off: a.multiplier(off) + b.multiplier(off)
+            for off in a.multipliers.keys() | b.multipliers.keys()
+        }
+        got = add(a, b).multipliers
+        assert list(got) == sorted(off for off in want if np.count_nonzero(want[off]))
+        for off, mat in got.items():
+            assert mat.tobytes() == want[off].tobytes()
+
+
 def test_add_rejects_mismatched_crystals():
     lap = five_point()
     other = MultiplicationOperator(RB_COARSE, [(0, 0)], [(0, 0)], {(0, 0): [[1.0]]})

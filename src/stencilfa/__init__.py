@@ -9,10 +9,13 @@ fully worked examples.
 """
 
 from .crystal import (
+    SAMPLE_CAP,
     DualSample,
+    DualTorus,
     Lattice,
     QuotientMap,
     StructureElement,
+    TorusTooLargeError,
     dual_basis,
     lcm_lattice,
     sample_dual_torus,
@@ -37,24 +40,30 @@ from .operator import (
 from .oracle import assemble_dense, eval_dense, wave_basis
 from .symbol import (
     SpectrumRecord,
+    SpectrumRecords,
     SpectrumResult,
     compute_spectrum,
     pinv_matrix,
+    spectrum_blocks,
     symbol_at,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "SAMPLE_CAP",
     "DualSample",
+    "DualTorus",
     "ExprSyntaxError",
     "GalleryEntry",
     "Lattice",
     "MultiplicationOperator",
     "QuotientMap",
     "SpectrumRecord",
+    "SpectrumRecords",
     "SpectrumResult",
     "StructureElement",
+    "TorusTooLargeError",
     "add",
     "adjoint",
     "assemble_dense",
@@ -79,6 +88,7 @@ __all__ = [
     "sample_dual_torus",
     "scale",
     "snf",
+    "spectrum_blocks",
     "symbol_at",
     "triangular_splitting",
     "wave_basis",

@@ -3,7 +3,8 @@
 Four subcommands cover the analysis loop: ``list`` shows the built-in
 examples, ``describe`` prints (or serializes) their operators, ``spectrum``
 samples an expression's spectrum over the dual torus and reports the spectral
-radius, and ``verify`` cross-checks a loaded operator set against the dense
+radius (its CSV rows are written block by block as they are computed), and
+``verify`` cross-checks a loaded operator set against the dense
 reference implementation.
 
 Operator files are JSON: ``dim``, a map of named operators (each with its
@@ -19,28 +20,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .crystal import Lattice, StructureElement, sample_dual_torus
+from .crystal import DualTorus, Lattice, StructureElement, TorusTooLargeError, sample_dual_torus
 from .expr import EvaluationError, parse
 from .gallery import GalleryEntry, build, entry_names
 from .intlat import det_exact
 from .operator import MultiplicationOperator
 from .oracle import (
-    TorusTooLargeError,
     assemble_dense,
     dense_spectrum,
     spectrum_distance,
     translation_residual,
     wave_gram_residual,
 )
-from .symbol import SpectrumResult, compute_spectrum, eigenvalues, symbol_at
+from .symbol import SpectrumResult, compute_spectrum, eigenvalues, spectrum_blocks, symbol_at
 
 EXIT_SCHEMA = 1
 EXIT_INCOMPATIBLE = 2
@@ -328,21 +331,27 @@ def _load_entry(args) -> GalleryEntry:
 # spectrum output
 
 
-def _csv_lines(result: SpectrumResult) -> list[str]:
-    dim = result.lattice.dim
+def _csv_header(dim: int) -> str:
     header = (
         [f"k_frac_{i + 1}" for i in range(dim)]
         + [f"k_phys_{i + 1}" for i in range(dim)]
         + ["eig_index", "re", "im", "abs"]
     )
-    lines = [",".join(header)]
-    for rec in result.records:
-        prefix = list(rec.k_frac_text) + [repr(x) for x in rec.k_phys]
-        for idx, e in enumerate(rec.eigenvalues):
-            lines.append(
-                ",".join(prefix + [str(idx), repr(e.real), repr(e.imag), repr(abs(e))])
-            )
-    return lines
+    return ",".join(header) + "\n"
+
+
+def _csv_rows(samples: DualTorus, eigs: np.ndarray) -> tuple[str, float]:
+    """The CSV rows of a block of samples, one per eigenvalue, and the
+    largest modulus among them."""
+    lines = []
+    rho = 0.0
+    for s, row in zip(samples, eigs.tolist()):
+        prefix = ",".join([*s.k_frac_text, *map(repr, s.k_phys)])
+        for idx, e in enumerate(row):
+            modulus = abs(e)
+            rho = max(rho, modulus)
+            lines.append(f"{prefix},{idx},{e.real!r},{e.imag!r},{modulus!r}\n")
+    return "".join(lines), rho
 
 
 def _json_payload(result: SpectrumResult) -> dict:
@@ -382,6 +391,44 @@ def _gnuplot_script(csv_path: str, dim: int, title: str) -> str:
     )
 
 
+@contextmanager
+def _spectrum_errors():
+    """Map the library's errors to the CLI's exit codes."""
+    try:
+        yield
+    except EvaluationError as exc:
+        raise ExpressionError(str(exc)) from None
+    except TorusTooLargeError as exc:
+        raise SchemaError(str(exc)) from None
+    except ValueError as exc:
+        raise IncompatibilityError(str(exc)) from None
+
+
+@contextmanager
+def _output(path: str | None):
+    """A text stream for the table: stdout without a path.  A file is written
+    under a sibling name and moved onto the path only when the block exits
+    cleanly, so a failed command leaves no file behind and an existing file
+    unchanged.  A path that exists but is no regular file (/dev/null, a pipe)
+    is written in place."""
+    if not path:
+        yield sys.stdout
+        return
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        with target.open("w", encoding="utf-8") as fh:
+            yield fh
+        return
+    part = target.with_name(f".{target.name}.{os.getpid()}.part")
+    try:
+        with part.open("x", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    os.replace(part, target)
+
+
 def cmd_spectrum(args) -> int:
     entry = _load_entry(args)
     expr_text = args.expr if args.expr is not None else entry.expression
@@ -407,26 +454,30 @@ def cmd_spectrum(args) -> int:
             f"expression references unknown operators: {', '.join(missing)}"
         )
     env = {name: entry.operators[name] for name in sorted(ast.identifiers())}
-    try:
-        result = compute_spectrum(ast, env, resolution)
-    except EvaluationError as exc:
-        raise ExpressionError(str(exc)) from None
-    except ValueError as exc:
-        raise IncompatibilityError(str(exc)) from None
-
-    if args.format == "json":
-        text = json.dumps(_json_payload(result), indent=2) + "\n"
-    else:
-        text = "\n".join(_csv_lines(result)) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _spectrum_errors():
+        if args.format == "json":
+            # rho_max comes before the records, so the text is built whole
+            result = compute_spectrum(ast, env, resolution)
+            rho = result.rho
+            with _output(args.output) as out:
+                out.write(json.dumps(_json_payload(result), indent=2) + "\n")
+        else:
+            blocks = spectrum_blocks(ast, env, resolution)
+            # the first block is computed before anything is written: the
+            # sampling, size and shape errors all surface there
+            first = next(blocks)
+            rho = 0.0
+            with _output(args.output) as out:
+                out.write(_csv_header(entry.dim))
+                for block, eigs in chain([first], blocks):
+                    text, top = _csv_rows(block, eigs)
+                    out.write(text)
+                    rho = max(rho, top)
     if args.emit_plot:
         Path(args.emit_plot).write_text(
             _gnuplot_script(args.output, entry.dim, entry.name), encoding="utf-8"
         )
-    print(f"rho_max = {result.rho:.8f}")
+    print(f"rho_max = {rho:.8f}")
     return 0
 
 

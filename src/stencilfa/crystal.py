@@ -14,16 +14,23 @@ operators act on value tuples indexed by it.
 Torus representatives follow a fixed canonical listing: with H the Hermite
 normal form of the integer relation, the representative with counter i-1 has
 the mixed-radix digits of i-1 with respect to (H_11, ..., H_nn), the first
-basis direction varying fastest.  Dual-torus samples reuse that listing on the
-dual relation M^T; their coordinates are integer numerators over |det M|,
-turned into exact ``Fraction``s in [0,1)^n only when read as ``k_frac``.
+basis direction varying fastest; ``QuotientMap.reps`` holds it as one
+read-only (p, n) int64 array.  Dual-torus samples come from that listing on
+the dual relation M^T; their coordinates are integer numerators over
+|det M|, turned into exact ``Fraction``s in [0,1)^n only when read as
+``k_frac``.  A sampled torus is a ``DualTorus`` of flat arrays with its rows
+in ascending numerator order, which is ascending k_frac order, and indexing
+it gives one ``DualSample`` view.  Sampling refuses a torus of more than
+``SAMPLE_CAP`` points before it lists anything; the dense oracle has a
+smaller cap of its own, and both raise ``TorusTooLargeError``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
 
@@ -40,6 +47,17 @@ from .intlat import (
     scaled_integer,
     snf,
 )
+
+
+#: Most dual-torus samples one ``sample_dual_torus`` call lists: 2^20, a
+#: 1024 x 1024 torus in 2-D.  Samples are stored as flat arrays and the
+#: spectrum is evaluated block by block, so the cap bounds the run time and
+#: the (N, n) sample arrays, not a per-sample object count.
+SAMPLE_CAP = 2**20
+
+
+class TorusTooLargeError(ValueError):
+    """A torus has more points than a size cap allows."""
 
 
 class Lattice:
@@ -67,7 +85,10 @@ class Lattice:
 
 
 def _coerce_point(p) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in p)
+    # a numpy integer becomes a Python int first: a Fraction keeps the
+    # numerator's type, and an int64 one wraps on overflow (a row of
+    # QuotientMap.reps is one)
+    return tuple(Fraction(x.item() if isinstance(x, np.generic) else x) for x in p)
 
 
 class StructureElement:
@@ -139,6 +160,35 @@ class DualSample:
         return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class DualTorus(Sequence):
+    """The sampled dual torus as flat arrays, one row per sample.
+
+    ``num`` is the read-only (N, n) int64 array of numerators over the common
+    denominator ``den`` = |det M| (N itself for a whole torus), its rows in
+    ascending order, which is ascending k_frac order; ``k_phys`` is the
+    read-only (N, n) float array of physical wave vectors.  An index gives
+    that row as a ``DualSample``, built on access; a slice gives the
+    ``DualTorus`` of those rows.
+    """
+
+    num: np.ndarray
+    den: int
+    k_phys: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DualTorus(self.num[i], self.den, self.k_phys[i])
+        return DualSample(tuple(self.num[i].tolist()), self.den, tuple(self.k_phys[i].tolist()))
+
+    def __iter__(self):
+        for num, k_phys in zip(self.num.tolist(), self.k_phys.tolist()):
+            yield DualSample(tuple(num), self.den, tuple(k_phys))
+
+
 def relation(a: Lattice, c: Lattice) -> Matrix:
     """Exact rational matrix A^-1 C relating two lattice bases."""
     if a.dim != c.dim:
@@ -175,7 +225,8 @@ def integral_relation(a: Lattice, c: Lattice) -> list[list[int]]:
 class QuotientMap:
     """Exact residue arithmetic for Z^n / rel*Z^n, rel a nonsingular integer matrix.
 
-    ``reps`` is the canonical listing of the |det rel| residue classes;
+    ``reps`` is the canonical listing of the |det rel| residue classes, a
+    read-only (|det rel|, n) int64 array built on first access;
     ``locate`` decomposes any integer vector x as reps[k] + rel*z, and
     ``indices`` gives the listing index of every row of an integer array.
     """
@@ -184,10 +235,15 @@ class QuotientMap:
         res = hnf(rel)
         self.h, self.u = res.H, res.U  # H = rel*U, U unimodular
         self.n = len(self.h)
-        # mixed-radix counter over diag(H), first coordinate fastest
-        radices = [range(self.h[l][l]) for l in reversed(range(self.n))]
-        self.reps = [digits[::-1] for digits in product(*radices)]
         self.strides = tuple(prod(self.h[l][l] for l in range(axis)) for axis in range(self.n))
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        # mixed-radix counter over diag(H), first coordinate fastest
+        diag = [self.h[l][l] for l in range(self.n)]
+        reps = np.arange(prod(diag), dtype=np.int64)[:, None] // self.strides % diag
+        reps.setflags(write=False)
+        return reps
 
     def _reduce(self, x) -> tuple[tuple[int, ...], list[int]]:
         # x = r + H*q with r inside the box [0, H_11) x ... x [0, H_nn)
@@ -256,19 +312,33 @@ def integer_resolution(a: Lattice, m) -> tuple[list[list[int]], int]:
     return mm, d
 
 
-def sample_dual_torus(a: Lattice, m) -> list[DualSample]:
-    """All |det M| wave vectors of the dual torus for Z = A*M.
+def sample_dual_torus(a: Lattice, m) -> DualTorus:
+    """All |det M| wave vectors of the dual torus for Z = A*M, in k_frac order.
 
     The representatives j of the quotient dual(Z)/dual(A) are listed through
     QuotientMap(M^T); with d = |det M| the integer matrix d*M^-T maps each to
     the numerators of k_frac = (M^-T j) mod 1, kept over d (``num``, ``den``).
-    The physical wave vectors A^-T k_frac come from one matrix product.
+    The physical wave vectors A^-T k_frac come from one matrix product, and
+    one lexsort puts both in ascending numerator order.  A torus of more
+    than SAMPLE_CAP points is a TorusTooLargeError, raised before anything
+    is listed.
     """
     mm, d = integer_resolution(a, m)
+    if d > SAMPLE_CAP:
+        raise TorusTooLargeError(f"torus too large to sample (|det M| = {d} > {SAMPLE_CAP})")
     mt = [list(col) for col in zip(*mm)]
     num = np.array([[int(x * d) % d for x in row] for row in mat_inv(mt)])  # d*M^-T mod d
-    # d samples are listed and every entry of reps and num is below d, so the
+    # d <= SAMPLE_CAP and every entry of reps and num is below d, so the
     # products stay far inside int64 and d and every numerator are exact floats
-    nums = np.array(QuotientMap(mt).reps) @ num.T % d
+    nums = QuotientMap(mt).reps @ num.T
+    nums %= d
     k_phys = (nums / d) @ dual_basis(a).basis.T
-    return [DualSample(k, d, tuple(p)) for k, p in zip(map(tuple, nums.tolist()), k_phys.tolist())]
+    # k_phys is taken in listing order and permuted with the numerators, so
+    # every row keeps the bits of the listing's product; permuting one array
+    # at a time holds fewer (N, n) copies at once
+    order = np.lexsort(nums.T[::-1])
+    nums = nums[order]
+    k_phys = k_phys[order]
+    nums.setflags(write=False)
+    k_phys.setflags(write=False)
+    return DualTorus(nums, d, k_phys)

@@ -267,7 +267,7 @@ def lattice_coarsening(l: MultiplicationOperator, coarse: Lattice) -> Multiplica
     """
     rel = integral_relation(l.lattice, coarse)
     qm = QuotientMap(rel)
-    taus = qm.reps
+    taus = qm.reps.tolist()
     p = len(taus)
 
     m_cod, m_dom = l.shape

@@ -39,16 +39,20 @@ from math import pi
 
 import numpy as np
 
-from .crystal import Lattice, QuotientMap, StructureElement, integer_resolution, sample_dual_torus
+from .crystal import (
+    DualTorus,
+    Lattice,
+    QuotientMap,
+    StructureElement,
+    TorusTooLargeError,
+    integer_resolution,
+    sample_dual_torus,
+)
 from .operator import MultiplicationOperator, make_compatible
 
 DENSE_CAP = 10**4
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-
-
-class TorusTooLargeError(ValueError):
-    """The torus has more than DENSE_CAP points."""
 
 
 def _torus_quotient(a: Lattice, m) -> QuotientMap:
@@ -94,7 +98,7 @@ def assemble_dense(l: MultiplicationOperator, m) -> TorusTriples:
     every representative plus the residue.
     """
     qm = _torus_quotient(l.lattice, m)
-    reps = np.array(qm.reps)
+    reps = qm.reps
     n_pts = len(reps)
     mc, md = l.shape
     merged: dict[tuple[int, ...], np.ndarray] = {}
@@ -196,16 +200,15 @@ def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
     return list(np.kron(_wave_phases(sample_dual_torus(a, m), qm), np.eye(len(se))))
 
 
-def _wave_phases(samples, quotient: QuotientMap) -> np.ndarray:
+def _wave_phases(samples: DualTorus, quotient: QuotientMap) -> np.ndarray:
     """(samples, torus points) matrix P of exp(+2*pi*i*<k_frac, x>) over the
     listing of ``quotient``; wave_basis(a, m, se) is the rows of kron(P, I_|se|)."""
-    d = samples[0].den
-    k_num = np.array([s.num for s in samples])
-    quarters, rest = np.divmod(4 * (k_num @ np.array(quotient.reps).T % d), d)
+    d = samples.den
+    quarters, rest = np.divmod(4 * (samples.num @ quotient.reps.T % d), d)
     return _QUARTER_TURNS[quarters] * np.exp(0.5j * pi * rest / d)
 
 
-def wave_gram_residual(samples, quotient: QuotientMap) -> float:
+def wave_gram_residual(samples: DualTorus, quotient: QuotientMap) -> float:
     """max |G - I| for the averaged Gram matrix G of the wave basis on the
     dual-torus listing ``samples`` and the torus ``quotient`` of one M, as
     sample_dual_torus and any TorusTriples of that M hold them.
@@ -250,7 +253,7 @@ def translation_residual(matrix: TorusTriples) -> float:
 
     worst = 0.0
     for step in np.eye(qm.n, dtype=np.int64):
-        perm = qm.indices(np.array(qm.reps) + step)
+        perm = qm.indices(qm.reps + step)
         rows = (perm[:, None] * mc + np.arange(mc)).ravel()
         cols = (perm[:, None] * md + np.arange(md)).ravel()
         # T A T^-1 holds A[rows[x], cols[y]] at (x, y): the gaps at A's

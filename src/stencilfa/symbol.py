@@ -22,17 +22,23 @@ operator was built, on the operator's cached (n, rows, cols) multiplier
 stack.
 
 compute_spectrum implements the full sampling pipeline: rewrite all operators
-on their coarsest common sublattice, sample the dual torus for Z = C*M,
-evaluate the expression on the symbol matrices at every sample, and collect
-eigenvalues.  Results are sorted by k_frac.  The samples are taken in blocks
-of 64: each operator's symbol_at matrices are stacked to (N, rows, cols), the
-expression is walked once over the stacks (pinv still calls pinv_matrix once
-per matrix), and one eigenvalues call covers the block.  Every step
-acts matrix by matrix, so the records are bit-identical to a per-sample loop.
+on their coarsest common sublattice, sample the dual torus for Z = C*M (in
+k_frac order, at most SAMPLE_CAP samples), evaluate the expression on the
+symbol matrices at every sample, and collect eigenvalues.  spectrum_blocks
+yields the same evaluation block by block, so a caller such as the CLI's CSV
+writer can hand each block on before the next is computed.  A block is 64
+samples: each operator's symbol_at matrices are stacked to (B, rows, cols),
+the expression is walked once over the stacks (pinv still calls pinv_matrix
+once per matrix), one eigenvalues call covers the block, and one lexsort
+orders every row of its (B, n) eigenvalue array by (re, im).  Every step acts
+matrix by matrix, so the values are bit-identical to a per-sample loop.  A
+SpectrumResult holds the samples and eigenvalues as arrays; its ``records``
+are read-only row views built on access.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, pi
@@ -40,7 +46,7 @@ from operator import mul
 
 import numpy as np
 
-from .crystal import DualSample, Lattice, sample_dual_torus
+from .crystal import DualSample, DualTorus, Lattice, sample_dual_torus
 from .operator import MultiplicationOperator, make_compatible
 
 
@@ -51,13 +57,44 @@ class SpectrumRecord(DualSample):
     eigenvalues: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
+class SpectrumRecords(Sequence):
+    """Read-only row views of a spectrum: entry i is the SpectrumRecord of
+    sample i, built on access; a slice gives the views of those rows."""
+
+    def __init__(self, samples: DualTorus, eigenvalues: np.ndarray):
+        self._samples = samples
+        self._eigenvalues = eigenvalues
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SpectrumRecords(self._samples[i], self._eigenvalues[i])
+        s = self._samples[i]
+        return SpectrumRecord(s.num, s.den, s.k_phys, tuple(self._eigenvalues[i].tolist()))
+
+    def __iter__(self):
+        for s, eigs in zip(self._samples, self._eigenvalues.tolist()):
+            yield SpectrumRecord(s.num, s.den, s.k_phys, tuple(eigs))
+
+
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    records: tuple[SpectrumRecord, ...]
+    """A sampled spectrum: the dual torus in k_frac order and the read-only
+    (N, n) complex array of the eigenvalues at each sample, every row sorted
+    by (re, im); rho is the largest modulus among them."""
+
+    samples: DualTorus
+    eigenvalues: np.ndarray
     rho: float
     resolution: tuple[tuple[int, ...], ...]
     lattice: Lattice
     expression: str
+
+    @property
+    def records(self) -> SpectrumRecords:
+        return SpectrumRecords(self.samples, self.eigenvalues)
 
 
 def _numerators(k) -> tuple[tuple[int, ...], int]:
@@ -143,27 +180,52 @@ def eigenvalues(mtx) -> list:
 _BLOCK = 64
 
 
-def _block_records(expr, named, block: list[DualSample]) -> list[SpectrumRecord]:
-    """Records of a block of samples: one walk over the stacked symbols and
-    one eigvals call for the whole block."""
-    env = {name: np.array([symbol_at(op, s) for s in block]) for name, op in named.items()}
-    k_frac = "(" + ", ".join(block[0].k_frac_text) + ")"
-    try:
-        value = expr.eval_matrices(env)
-    except ValueError as exc:
-        # same type, so callers can still tell the expression's own errors apart
-        raise type(exc)(f"expression failed at k_frac={k_frac}: {exc}") from exc
-    if value.shape[-2] != value.shape[-1]:
-        raise ValueError(
-            f"expression shape mismatch at k_frac={k_frac}: "
-            f"result is {value.shape[-2:]}"
-        )
-    # an expression of identities alone is one matrix for every sample
-    value = np.broadcast_to(value, (len(block),) + value.shape[-2:])
-    return [
-        SpectrumRecord(s.num, s.den, s.k_phys, tuple(sorted(eigs, key=lambda z: (z.real, z.imag))))
-        for s, eigs in zip(block, eigenvalues(value))
-    ]
+def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.ndarray]]:
+    """Each block of samples with its (B, n) eigenvalues, every row sorted by
+    (re, im): one walk over the stacked symbols and one eigvals call per block."""
+    for start in range(0, len(samples), _BLOCK):
+        block = samples[start:start + _BLOCK]
+        views = list(block)
+        env = {name: np.array([symbol_at(op, s) for s in views]) for name, op in named.items()}
+        k_frac = "(" + ", ".join(views[0].k_frac_text) + ")"
+        try:
+            value = expr.eval_matrices(env)
+        except ValueError as exc:
+            # same type, so callers can still tell the expression's own errors apart
+            raise type(exc)(f"expression failed at k_frac={k_frac}: {exc}") from exc
+        if value.shape[-2] != value.shape[-1]:
+            raise ValueError(
+                f"expression shape mismatch at k_frac={k_frac}: "
+                f"result is {value.shape[-2:]}"
+            )
+        # an expression of identities alone is one matrix for every sample
+        value = np.broadcast_to(value, (len(block),) + value.shape[-2:])
+        eigs = np.array(eigenvalues(value), dtype=complex)
+        yield block, np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), -1)
+
+
+def _sampled(env, m) -> tuple[dict, Lattice, DualTorus]:
+    """The operators rewritten on their common lattice C, by name, with C and
+    the dual torus of Z = C*m."""
+    names = list(env)
+    if not names:
+        raise ValueError("expression environment is empty")
+    compatible = make_compatible([env[name] for name in names])
+    lattice = compatible[0].lattice
+    return dict(zip(names, compatible)), lattice, sample_dual_torus(lattice, m)
+
+
+def spectrum_blocks(expr, env, m) -> Iterator[tuple[DualTorus, np.ndarray]]:
+    """compute_spectrum's evaluation, one block of samples at a time.
+
+    Yields (samples, eigenvalues) per block of up to 64 samples in k_frac
+    order, the eigenvalues a (B, n) complex array with every row sorted by
+    (re, im).  Nothing is computed before the first block is drawn; the
+    compatibility rewrite and the sampling run then, so their errors, like
+    an expression's, surface at the first draw.
+    """
+    named, _, samples = _sampled(env, m)
+    yield from _blocks(expr, named, samples)
 
 
 def compute_spectrum(expr, env, m) -> SpectrumResult:
@@ -174,26 +236,20 @@ def compute_spectrum(expr, env, m) -> SpectrumResult:
     matrix: the sampled torus is Z = C*m with C the common lattice after
     compatibility rewriting.
     """
-    names = list(env)
-    if not names:
-        raise ValueError("expression environment is empty")
-    compatible = make_compatible([env[name] for name in names])
-    named = dict(zip(names, compatible))
-    lattice = compatible[0].lattice
-    # all samples share one denominator, so numerator order is k_frac order
-    samples = sorted(sample_dual_torus(lattice, m), key=lambda s: s.num)
-    records = [
-        rec
-        for start in range(0, len(samples), _BLOCK)
-        for rec in _block_records(expr, named, samples[start:start + _BLOCK])
-    ]
+    named, lattice, samples = _sampled(env, m)
+    parts = []
     rho = 0.0
-    for rec in records:
-        for ev in rec.eigenvalues:
-            rho = max(rho, abs(ev))
+    for _, eigs in _blocks(expr, named, samples):
+        parts.append(eigs)
+        # Python's complex abs, as the CSV's abs column: numpy's can differ
+        # from it in the last bit
+        rho = max(rho, max(map(abs, eigs.ravel().tolist())))
+    all_eigs = np.concatenate(parts)
+    all_eigs.setflags(write=False)
     resolution = tuple(tuple(int(x) for x in row) for row in m)
     return SpectrumResult(
-        records=tuple(records),
+        samples=samples,
+        eigenvalues=all_eigs,
         rho=rho,
         resolution=resolution,
         lattice=lattice,

@@ -8,7 +8,8 @@ polynomials) so the main library can be checked against an independent path.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 from math import floor, gcd, lcm, pi
 from types import SimpleNamespace
 
@@ -143,6 +144,23 @@ def fraction_k_phys(dual_basis, num, den) -> np.ndarray:
     return dual_basis @ np.array([float(Fraction(n, den)) for n in num])
 
 
+def quotient_listing(rel) -> list[tuple[int, ...]]:
+    """The residue classes of Z^n / rel*Z^n in the canonical listing: the
+    mixed-radix digits over the diagonal of the column Hermite form H = rel*U
+    (upper triangular), first coordinate fastest, one tuple per class.  The
+    diagonal comes from minors alone: column operations keep the gcd of the
+    k x k minors within any k rows, so the product of the last k diagonal
+    entries is the gcd of those minors in the last k rows of rel."""
+    n = len(rel)
+    g = [1] + [
+        reduce(gcd, (abs(_minor_det(rel, range(n - k, n), cols))
+                     for cols in combinations(range(n), k)))
+        for k in range(1, n + 1)
+    ]
+    diag = [g[n - i] // g[n - i - 1] for i in range(n)]
+    return [digits[::-1] for digits in product(*(range(h) for h in reversed(diag)))]
+
+
 def per_sample_numerators(m, reps) -> list[tuple[int, ...]]:
     """Dual-torus numerators the per-sample way: with d = |det M| and the
     exact integer matrix d*M^-T, one Python inner product per listed
@@ -233,13 +251,14 @@ def per_point_assemble_dense(l, qm) -> np.ndarray:
     and each offset in ``multipliers`` order, the target point's residue is
     looked up and the multiplier added into that block.  qm is the torus
     QuotientMap, passed in."""
-    n_pts = len(qm.reps)
+    reps = [tuple(rep) for rep in qm.reps.tolist()]
+    n_pts = len(reps)
     mc, md = l.shape
     out = np.zeros((n_pts * mc, n_pts * md), dtype=complex)
-    for i, rep in enumerate(qm.reps):
+    for i, rep in enumerate(reps):
         for off, mat in l.multipliers.items():
             x = tuple(r + o for r, o in zip(rep, off))
-            j = qm.reps.index(qm.residue(x))
+            j = reps.index(qm.residue(x))
             out[i * mc:(i + 1) * mc, j * md:(j + 1) * md] += mat
     return out
 

@@ -101,7 +101,7 @@ def test_operator_file_loads_the_built_entry(tmp_path, capsys, example):
         compute_spectrum(parse(e.expression), e.operators, res)
         for e in (built, loaded)
     ]
-    assert spectra[0].records == spectra[1].records
+    assert list(spectra[0].records) == list(spectra[1].records)
     assert spectra[0].rho == spectra[1].rho
 
 
@@ -191,6 +191,108 @@ def test_graphene_weight_with_exponent_repr(capsys):
     rho = float(out.strip().splitlines()[-1].split("=")[1])
     assert np.isfinite(rho)
     assert "0.00001*pinv(S1)*L" in build("graphene", omega=0.00001).expression
+
+
+def csv_in_memory(result) -> str:
+    """The whole CSV of a library result, built as one text."""
+    dim = result.lattice.dim
+    header = (
+        [f"k_frac_{i + 1}" for i in range(dim)]
+        + [f"k_phys_{i + 1}" for i in range(dim)]
+        + ["eig_index", "re", "im", "abs"]
+    )
+    lines = [",".join(header)]
+    for rec in result.records:
+        prefix = list(rec.k_frac_text) + [repr(x) for x in rec.k_phys]
+        for idx, e in enumerate(rec.eigenvalues):
+            lines.append(",".join(prefix + [str(idx), repr(e.real), repr(e.imag), repr(abs(e))]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "example, resolution",
+    [
+        ("curlcurl", "9"),  # 81 samples: a full block and a ragged one
+        ("graphene", "[[2,3],[2,-2]]"),
+        ("laplacian-rb", "[[3,4611686018427387904],[0,5]]"),
+    ],
+)
+def test_streamed_csv_equals_the_csv_built_in_memory(tmp_path, capsys, example, resolution):
+    entry = build(example)
+    expr = parse(entry.expression)
+    # bound as the CLI binds them: only the operators the expression names
+    env = {name: entry.operators[name] for name in sorted(expr.identifiers())}
+    result = compute_spectrum(expr, env, cli._parse_resolution_flag(resolution, entry.dim))
+    want = csv_in_memory(result)
+    rho_line = f"rho_max = {result.rho:.8f}\n"
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "spectrum", "--example", example, "--resolution", resolution,
+                         "--output", str(path))
+    assert (code, out, err) == (0, rho_line, "")
+    assert path.read_text(encoding="utf-8") == want
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    code, out, err = run(capsys, "spectrum", "--example", example, "--resolution", resolution)
+    assert (code, out, err) == (0, want + rho_line, "")
+
+
+def test_failed_spectrum_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "out.csv"
+    # a shape mismatch fails in the first block, before anything is written
+    argv = ["spectrum", "--example", "graphene", "--expr", "L + R", "--resolution", "3"]
+    assert run(capsys, *argv, "--output", str(path))[:2] == (2, "")
+    assert run(capsys, *argv)[:2] == (2, "")
+    assert list(tmp_path.iterdir()) == []
+
+    # a LAPACK failure in the second block of 81 samples, after rows were written
+    right = cli.eigenvalues
+    calls = []
+
+    def fail_later(mtx):
+        calls.append(len(mtx))
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return right(mtx)
+
+    monkeypatch.setattr("stencilfa.symbol.eigenvalues", fail_later)
+    argv = ["spectrum", "--example", "curlcurl", "--resolution", "9", "--output", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: Eigenvalues did not converge\n")
+    assert calls == [64, 17]
+    assert list(tmp_path.iterdir()) == []
+    # a file that was there before stays as it was
+    path.write_text("earlier table\n")
+    calls.clear()
+    assert run(capsys, *argv)[0] == 2
+    assert path.read_text() == "earlier table\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_spectrum_above_the_sample_cap_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    for extra in ([], ["--output", str(path)], ["--format", "json", "--output", str(path)]):
+        code, out, err = run(
+            capsys, "spectrum", "--example", "laplacian-rb", "--expr", "L",
+            "--resolution", "[[9223372036854775807,0],[0,1]]", *extra,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: torus too large to sample (|det M| = 9223372036854775807 > 1048576)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_memory_does_not_grow_with_the_sample_count(tmp_path, capsys):
+    # 16,384 samples and 32,768 CSV rows: the sample arrays (0.5 MB) and one
+    # block of rows are held, never a record or a line per sample
+    path = tmp_path / "curlcurl.csv"
+    main(["spectrum", "--example", "curlcurl", "--resolution", "2", "--output", str(path)])
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--example", "curlcurl", "--resolution", "128", "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("rho_max = ")
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("den", [1, 2, 3, 12, 41, 64, 360])
@@ -393,7 +495,7 @@ def test_non_expression_error_mentioning_bare_is_incompatibility(capsys, monkeyp
     def fail(*args):
         raise ValueError("bare lattice vectors are not rationally related")
 
-    monkeypatch.setattr(cli, "compute_spectrum", fail)
+    monkeypatch.setattr(cli, "spectrum_blocks", fail)
     code, _, err = run(capsys, "spectrum", "--example", "graphene", "--resolution", "3")
     assert code == 2
     assert err == "error: bare lattice vectors are not rationally related\n"

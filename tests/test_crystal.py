@@ -7,10 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stencilfa.crystal import (
+    SAMPLE_CAP,
     DualSample,
+    DualTorus,
     Lattice,
     QuotientMap,
     StructureElement,
+    TorusTooLargeError,
     dual_basis,
     integral_relation,
     is_sublattice,
@@ -21,7 +24,12 @@ from stencilfa.crystal import (
 )
 from stencilfa.intlat import det_exact, mat_inv
 
-from oracles import fraction_k_phys, intersection_determinant, per_sample_numerators
+from oracles import (
+    fraction_k_phys,
+    intersection_determinant,
+    per_sample_numerators,
+    quotient_listing,
+)
 
 
 def test_lattice_rejects_singular_basis():
@@ -38,6 +46,15 @@ def test_lattice_rejects_non_finite_basis(bad):
 def test_lattice_rejects_nonsquare_basis():
     with pytest.raises(ValueError):
         Lattice([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_structure_element_points_from_an_int64_array_are_exact():
+    # the rows of QuotientMap.reps are int64: their fractions must not wrap
+    se = StructureElement(np.array([[2**40, 0], [1, 3]], dtype=np.int64))
+    x = se.points[0][0]
+    assert type(x.numerator) is int
+    assert x * x == 2**80
+    assert se == StructureElement([(2**40, 0), (1, 3)])
 
 
 def test_structure_element_coercion_and_order():
@@ -140,8 +157,8 @@ def test_dual_samples_square_doubling():
     fracs = [s.k_frac for s in samples]
     assert fracs == [
         (Fraction(0), Fraction(0)),
-        (Fraction(1, 2), Fraction(0)),
         (Fraction(0), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(0)),
         (Fraction(1, 2), Fraction(1, 2)),
     ]
     for s in samples:
@@ -160,6 +177,31 @@ def test_dual_samples_skew_resolution():
         for i in range(2):
             v = m[0][i] * s.k_frac[0] + m[1][i] * s.k_frac[1]
             assert v == int(v)
+
+
+def test_dual_torus_indexing_gives_row_views():
+    samples = sample_dual_torus(Lattice([[1, 0], [0, 1]]), [[3, 1], [0, 2]])
+    rows = list(samples)
+    assert [samples[i] for i in range(len(samples))] == rows
+    assert samples[-1] == rows[-1]
+    assert all(type(s) is DualSample for s in rows)
+    part = samples[2:5]
+    assert type(part) is DualTorus and part.den == samples.den == 6
+    assert list(part) == rows[2:5]
+
+
+def test_sampling_refuses_a_torus_above_the_cap_before_listing(monkeypatch):
+    line = Lattice([[1.0]])
+    assert len(sample_dual_torus(line, [[SAMPLE_CAP]])) == SAMPLE_CAP
+
+    def no_listing(rel):
+        raise AssertionError("a refused torus was listed")
+
+    monkeypatch.setattr("stencilfa.crystal.QuotientMap", no_listing)
+    with pytest.raises(TorusTooLargeError, match=f"{SAMPLE_CAP + 1} > {SAMPLE_CAP}"):
+        sample_dual_torus(line, [[-(SAMPLE_CAP + 1)]])
+    with pytest.raises(TorusTooLargeError, match="too large"):
+        sample_dual_torus(Lattice([[1, 0], [0, 1]]), [[2**63 - 1, 0], [0, 1]])
 
 
 def test_dual_samples_reject_singular_resolution():
@@ -232,6 +274,9 @@ def resolutions_and_bases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(resolutions_and_bases())
+@example(([[2, 3], [2, -2]], Lattice([[1, 0], [0, 1]])))  # negative det, non-diagonal HNF
+@example(([[1, 2, 0], [0, -3, 1], [2, 0, 4]], Lattice(np.eye(3) + 0.25)))
+@example(([[-5]], Lattice([[0.5]])))
 def test_dual_samples_are_the_integer_dual_torus(case):
     m, a = case
     n = len(m)
@@ -239,8 +284,11 @@ def test_dual_samples_are_the_integer_dual_torus(case):
     samples = sample_dual_torus(a, m)
     assert len(samples) == d
     assert len({s.num for s in samples}) == d
-    reps = QuotientMap([list(col) for col in zip(*m)]).reps
-    assert [s.num for s in samples] == per_sample_numerators(m, reps)
+    # the canonical listing of Z^n / M^T Z^n, sorted by numerator
+    listing = quotient_listing([list(col) for col in zip(*m)])
+    assert [s.num for s in samples] == sorted(per_sample_numerators(m, listing))
+    assert samples.num.dtype == np.int64 and samples.num.tolist() == [list(s.num) for s in samples]
+    assert not samples.num.flags.writeable and not samples.k_phys.flags.writeable
     dual = dual_basis(a).basis
     for s in samples:
         assert s.den == d and len(s.num) == n
@@ -256,9 +304,9 @@ def test_dual_samples_are_the_integer_dual_torus(case):
 def test_dual_sample_numerators_with_entries_near_int64_limit(m):
     # d*M^-T holds -2^62 for the first, so it must be reduced mod d before
     # the product with the listing
-    reps = QuotientMap([list(col) for col in zip(*m)]).reps
+    listing = quotient_listing([list(col) for col in zip(*m)])
     samples = sample_dual_torus(Lattice([[1, 0], [0, 1]]), m)
-    assert [s.num for s in samples] == per_sample_numerators(m, reps)
+    assert [s.num for s in samples] == sorted(per_sample_numerators(m, listing))
 
 
 @st.composite
@@ -279,7 +327,8 @@ def test_quotient_map_indices_match_the_listing(case):
     qm = QuotientMap(rel)
     got = qm.indices(np.array(points))
     assert got.dtype == np.int64
-    assert got.tolist() == [qm.reps.index(qm.residue(p)) for p in points]
+    reps = [tuple(rep) for rep in qm.reps.tolist()]
+    assert got.tolist() == [reps.index(qm.residue(p)) for p in points]
 
 
 def quotient_cases(n, lo, hi):
@@ -294,13 +343,24 @@ def test_quotient_map_locate_residue_and_listing(case):
     rel, xs = case
     qm = QuotientMap(rel)
     det = abs(det_exact(rel))
-    assert len(qm.reps) == det
+    reps = [tuple(rep) for rep in qm.reps.tolist()]
+    assert len(reps) == det
     for x in xs:
         k, z = qm.locate(x)
-        back = [r + sum(a * b for a, b in zip(row, z)) for r, row in zip(qm.reps[k], rel)]
+        back = [r + sum(a * b for a, b in zip(row, z)) for r, row in zip(reps[k], rel)]
         assert back == x
-        assert qm.residue(x) == qm.reps[k]
+        assert qm.residue(x) == reps[k]
     # x = y mod rel  iff  adj(rel)*(x - y) = 0 mod det, with adj(rel) = det*rel^-1
     adj = [[int(v * det) for v in row] for row in mat_inv(rel)]
-    keys = {tuple(sum(a * b for a, b in zip(row, r)) % det for row in adj) for r in qm.reps}
+    keys = {tuple(sum(a * b for a, b in zip(row, r)) % det for row in adj) for r in reps}
     assert len(keys) == det
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_int_matrices(1, -6, 6), small_int_matrices(2, -5, 5), small_int_matrices(3, -3, 3)))
+@example([[2, 3], [2, -2]])
+def test_quotient_map_reps_is_the_canonical_listing_as_an_array(rel):
+    reps = QuotientMap(rel).reps
+    assert reps.dtype == np.int64 and reps.shape == (abs(det_exact(rel)), len(rel))
+    assert not reps.flags.writeable
+    assert [tuple(rep) for rep in reps.tolist()] == quotient_listing(rel)

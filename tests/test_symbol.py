@@ -33,6 +33,7 @@ from stencilfa.symbol import (
     compute_spectrum,
     eigenvalues,
     pinv_matrix,
+    spectrum_blocks,
     symbol_at,
 )
 
@@ -85,7 +86,7 @@ def test_symbol_accepts_dual_sample():
 
 def test_symbol_of_dual_sample_uses_only_integer_numerators(monkeypatch):
     l = five_point()
-    want = symbol_at(l, sample_dual_torus(l.lattice, [[4, 0], [0, 4]])[6])
+    want = symbol_at(l, sample_dual_torus(l.lattice, [[4, 0], [0, 4]])[9])
 
     def no_fraction(*args):
         raise AssertionError("Fraction built for a DualSample")
@@ -93,7 +94,7 @@ def test_symbol_of_dual_sample_uses_only_integer_numerators(monkeypatch):
     # neither sampling nor the symbol of a sample builds a Fraction
     monkeypatch.setattr("stencilfa.crystal.Fraction", no_fraction)
     monkeypatch.setattr("stencilfa.symbol.Fraction", no_fraction)
-    sample = sample_dual_torus(l.lattice, [[4, 0], [0, 4]])[6]
+    sample = sample_dual_torus(l.lattice, [[4, 0], [0, 4]])[9]
     assert (sample.num, sample.den) == ((8, 4), 16)
     assert np.array_equal(symbol_at(l, sample), want)
 
@@ -335,7 +336,7 @@ def test_spectrum_sorted_and_deterministic():
     res1 = compute_spectrum(parse("L"), {"L": l}, [[3, 0], [0, 3]])
     res2 = compute_spectrum(parse("L"), {"L": l}, [[3, 0], [0, 3]])
     assert [r.k_frac for r in res1.records] == sorted(r.k_frac for r in res1.records)
-    assert res1.records == res2.records
+    assert list(res1.records) == list(res2.records)
 
 
 @pytest.mark.parametrize(
@@ -356,10 +357,44 @@ def test_spectrum_matches_per_sample_walk(name, text, m, count):
     samples = sorted(sample_dual_torus(res.lattice, m), key=lambda s: s.num)
     eigs, rho = per_sample_spectrum(expr, named, samples, symbol_at)
     assert len(res.records) == count
-    assert [(r.num, r.den, r.k_phys) for r in res.records] == [(s.num, s.den, s.k_phys) for s in samples]
+    assert [(r.num, r.den, r.k_phys, r.k_frac) for r in res.records] == [
+        (s.num, s.den, s.k_phys, s.k_frac) for s in samples
+    ]
     # repr tells -0.0 from 0.0, so equal text is equal bits
     assert repr([r.eigenvalues for r in res.records]) == repr(eigs)
     assert res.rho.hex() == rho.hex()
+
+
+def test_records_are_read_only_views_of_the_result_arrays():
+    l = build("laplacian-rb").operators["L"]
+    res = compute_spectrum(parse("L"), {"L": l}, [[2, 3], [2, -2]])
+    recs = list(res.records)
+    assert len(res.records) == len(res.samples) == res.eigenvalues.shape[0] == 10
+    assert not res.eigenvalues.flags.writeable
+    for i, (rec, s) in enumerate(zip(recs, res.samples)):
+        assert (rec.num, rec.den, rec.k_phys, rec.k_frac) == (s.num, s.den, s.k_phys, s.k_frac)
+        assert rec.eigenvalues == tuple(res.eigenvalues[i].tolist())
+        assert list(rec.eigenvalues) == sorted(rec.eigenvalues, key=lambda z: (z.real, z.imag))
+        assert res.records[i] == rec
+    assert res.records[-1] == recs[-1]
+    assert list(res.records[3:7]) == recs[3:7]
+
+
+def test_spectrum_blocks_give_the_result_block_by_block():
+    entry = build("graphene")
+    expr = parse(entry.expression)
+    env = {k: op for k, op in entry.operators.items() if k in expr.identifiers()}
+    m = [[9, 0], [0, 9]]
+    res = compute_spectrum(expr, env, m)
+    blocks = list(spectrum_blocks(expr, env, m))
+    assert [len(block) for block, _ in blocks] == [64, 17]
+    assert all(eigs.shape == (len(block), 8) for block, eigs in blocks)
+    assert np.concatenate([block.num for block, _ in blocks]).tolist() == res.samples.num.tolist()
+    assert np.concatenate([eigs for _, eigs in blocks]).tobytes() == res.eigenvalues.tobytes()
+    # nothing runs before the first block is drawn
+    lazy = spectrum_blocks(expr, {}, m)
+    with pytest.raises(ValueError, match="environment is empty"):
+        next(lazy)
 
 
 def test_spectrum_rho_is_max_abs():

@@ -10,7 +10,6 @@ fully worked examples.
 
 from .crystal import (
     SAMPLE_CAP,
-    DualSample,
     DualTorus,
     Lattice,
     QuotientMap,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SAMPLE_CAP",
-    "DualSample",
     "DualTorus",
     "ExprSyntaxError",
     "GalleryEntry",

@@ -3,17 +3,17 @@
 Four subcommands cover the analysis loop: ``list`` shows the built-in
 examples, ``describe`` prints (or serializes) their operators, ``spectrum``
 samples an expression's spectrum over the dual torus and reports the spectral
-radius (its CSV rows are written block by block as they are computed), and
-``verify`` cross-checks a loaded operator set against the dense
-reference implementation.
+radius (its CSV rows are written block by block as they are computed, its
+JSON record by record from the result's arrays), and ``verify`` cross-checks
+a loaded operator set against the dense reference implementation.
 
 Operator files are JSON: ``dim``, a map of named operators (each with its
 ``lattice`` basis, ``domain_se``/``codomain_se`` points as exact fraction
 strings, and a list of ``{offset, matrix}`` multipliers with entries written
 as ``[re, im]`` pairs), plus an optional default ``expr`` and ``resolution``.
 A file loads into the same ``GalleryEntry`` that a gallery example builds.
-Exit codes: 0 success, 1 schema or usage error, 2 incompatible or failing
-operators, 3 expression error.
+Exit codes: 0 success, 1 schema or usage error (an output that cannot be
+written included), 2 incompatible or failing operators, 3 expression error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crystal import DualTorus, Lattice, StructureElement, TorusTooLargeError, sample_dual_torus
+from .crystal import DualTorus, Lattice, StructureElement, TorusTooLargeError, k_frac_text, sample_dual_torus
 from .expr import EvaluationError, parse
 from .gallery import GalleryEntry, build, entry_names
 from .intlat import det_exact
@@ -340,13 +341,24 @@ def _csv_header(dim: int) -> str:
     return ",".join(header) + "\n"
 
 
+def _rows(samples: DualTorus, eigs: np.ndarray) -> Iterator[tuple]:
+    """(k_frac text, k_phys, eigenvalues) of every sample as Python values,
+    the arrays read 64 rows at a time."""
+    for start in range(0, len(samples), 64):
+        rows = slice(start, start + 64)
+        for num, k_phys, row in zip(
+            samples.num[rows].tolist(), samples.k_phys[rows].tolist(), eigs[rows].tolist()
+        ):
+            yield k_frac_text(num, samples.den), k_phys, row
+
+
 def _csv_rows(samples: DualTorus, eigs: np.ndarray) -> tuple[str, float]:
     """The CSV rows of a block of samples, one per eigenvalue, and the
     largest modulus among them."""
     lines = []
     rho = 0.0
-    for s, row in zip(samples, eigs.tolist()):
-        prefix = ",".join([*s.k_frac_text, *map(repr, s.k_phys)])
+    for k_frac, k_phys, row in _rows(samples, eigs):
+        prefix = ",".join([*k_frac, *map(repr, k_phys)])
         for idx, e in enumerate(row):
             modulus = abs(e)
             rho = max(rho, modulus)
@@ -354,21 +366,22 @@ def _csv_rows(samples: DualTorus, eigs: np.ndarray) -> tuple[str, float]:
     return "".join(lines), rho
 
 
-def _json_payload(result: SpectrumResult) -> dict:
-    return {
+def _json_text(result: SpectrumResult) -> Iterator[str]:
+    """json.dumps(payload, indent=2) + "\n" for the result, one record at a time."""
+    head = {
         "expression": result.expression,
         "lattice": [[float(x) for x in row] for row in result.lattice.basis],
         "resolution": [[int(x) for x in row] for row in result.resolution],
         "rho_max": result.rho,
-        "records": [
-            {
-                "k_frac": rec.k_frac_text,
-                "k_phys": list(rec.k_phys),
-                "eigenvalues": [[e.real, e.imag] for e in rec.eigenvalues],
-            }
-            for rec in result.records
-        ],
     }
+    # the header without its closing "\n}", then each record indented twice
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "records": ['
+    sep = "\n    "
+    for k_frac, k_phys, eigs in _rows(result.samples, result.eigenvalues):
+        record = {"k_frac": k_frac, "k_phys": k_phys, "eigenvalues": [[e.real, e.imag] for e in eigs]}
+        yield sep + json.dumps(record, indent=2).replace("\n", "\n    ")
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
 
 
 def _gnuplot_script(csv_path: str, dim: int, title: str) -> str:
@@ -406,27 +419,30 @@ def _spectrum_errors():
 
 @contextmanager
 def _output(path: str | None):
-    """A text stream for the table: stdout without a path.  A file is written
-    under a sibling name and moved onto the path only when the block exits
-    cleanly, so a failed command leaves no file behind and an existing file
-    unchanged.  A path that exists but is no regular file (/dev/null, a pipe)
-    is written in place."""
+    """A text stream for an output file, stdout without a path.  A file is
+    written under a sibling name and moved onto the path only when the block
+    exits cleanly, so a failed command leaves no file behind and an existing
+    file unchanged.  A path that exists but is no regular file (/dev/null, a
+    pipe) is written in place.  An OSError is a SchemaError naming the path."""
     if not path:
         yield sys.stdout
         return
     target = Path(path)
-    if target.exists() and not target.is_file():
-        with target.open("w", encoding="utf-8") as fh:
-            yield fh
-        return
-    part = target.with_name(f".{target.name}.{os.getpid()}.part")
     try:
-        with part.open("x", encoding="utf-8") as fh:
-            yield fh
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-    os.replace(part, target)
+        if target.exists() and not target.is_file():
+            with target.open("w", encoding="utf-8") as fh:
+                yield fh
+            return
+        part = target.with_name(f".{target.name}.{os.getpid()}.part")
+        try:
+            with part.open("x", encoding="utf-8") as fh:
+                yield fh
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
+        os.replace(part, target)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_spectrum(args) -> int:
@@ -456,11 +472,12 @@ def cmd_spectrum(args) -> int:
     env = {name: entry.operators[name] for name in sorted(ast.identifiers())}
     with _spectrum_errors():
         if args.format == "json":
-            # rho_max comes before the records, so the text is built whole
+            # rho_max comes before the records, so the spectrum is computed
+            # whole; the text is written record by record
             result = compute_spectrum(ast, env, resolution)
             rho = result.rho
             with _output(args.output) as out:
-                out.write(json.dumps(_json_payload(result), indent=2) + "\n")
+                out.writelines(_json_text(result))
         else:
             blocks = spectrum_blocks(ast, env, resolution)
             # the first block is computed before anything is written: the
@@ -474,9 +491,8 @@ def cmd_spectrum(args) -> int:
                     out.write(text)
                     rho = max(rho, top)
     if args.emit_plot:
-        Path(args.emit_plot).write_text(
-            _gnuplot_script(args.output, entry.dim, entry.name), encoding="utf-8"
-        )
+        with _output(args.emit_plot) as out:
+            out.write(_gnuplot_script(args.output, entry.dim, entry.name))
     print(f"rho_max = {rho:.8f}")
     return 0
 
@@ -550,10 +566,8 @@ def cmd_describe(args) -> int:
         text = json.dumps(bundle_to_json(entry), indent=2) + "\n"
     else:
         text = _describe_text(entry)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(args.output) as out:
+        out.write(text)
     return 0
 
 
@@ -577,8 +591,8 @@ def _verify_checks(operators, resolution) -> list[tuple[str, float, float]]:
         if op.domain_se != op.codomain_se:
             continue
         dense = dense_spectrum(matrix)
-        symbols = np.array([symbol_at(op, s) for s in samples])
-        union = [v for vals in eigenvalues(symbols) for v in vals]
+        symbols = np.array([symbol_at(op, num, samples.den) for num in samples.num.tolist()])
+        union = eigenvalues(symbols).ravel()
         spectra.append(
             (f"symbol vs dense spectrum  {name}", spectrum_distance(union, dense), SPECTRUM_TOL)
         )
@@ -685,10 +699,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write stdout: the reader closed it", file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

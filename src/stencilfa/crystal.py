@@ -17,17 +17,17 @@ the mixed-radix digits of i-1 with respect to (H_11, ..., H_nn), the first
 basis direction varying fastest; ``QuotientMap.reps`` holds it as one
 read-only (p, n) int64 array.  Dual-torus samples come from that listing on
 the dual relation M^T; their coordinates are integer numerators over
-|det M|, turned into exact ``Fraction``s in [0,1)^n only when read as
-``k_frac``.  A sampled torus is a ``DualTorus`` of flat arrays with its rows
-in ascending numerator order, which is ascending k_frac order, and indexing
-it gives one ``DualSample`` view.  Sampling refuses a torus of more than
-``SAMPLE_CAP`` points before it lists anything; the dense oracle has a
-smaller cap of its own, and both raise ``TorusTooLargeError``.
+|det M|.  A sampled torus is a ``DualTorus`` of flat arrays with its rows in
+ascending numerator order, which is ascending k_frac order: sample i is row
+i of ``num`` over ``den``, with the wave vector ``k_phys[i]``, and
+``k_frac_text`` writes a row's fractions from integers alone.  Sampling
+refuses a torus of more than ``SAMPLE_CAP`` points before it lists anything;
+the dense oracle has a smaller cap of its own, and both raise
+``TorusTooLargeError``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -132,44 +132,14 @@ class StructureElement:
         return StructureElement([tuple(x + o for x, o in zip(p, off)) for p in self.points])
 
 
-@dataclass(frozen=True)
-class DualSample:
-    """One sampled wave vector: integer numerators plus physical coordinates.
-
-    ``num`` holds the numerators of the fractional coordinates over the
-    common denominator ``den`` = |det M| of the sampled torus (not reduced).
-    """
-
-    num: tuple[int, ...]
-    den: int
-    k_phys: tuple[float, ...]
-
-    @property
-    def k_frac(self) -> tuple[Fraction, ...]:
-        """The exact fractional coordinates num/den, built on each access."""
-        return tuple(Fraction(n, self.den) for n in self.num)
-
-    @property
-    def k_frac_text(self) -> tuple[str, ...]:
-        """str(Fraction(n, den)) for every numerator, from integers alone."""
-        den = self.den
-        out = []
-        for n in self.num:
-            g = gcd(n, den)
-            out.append(str(n // g) if den // g == 1 else f"{n // g}/{den // g}")
-        return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
-class DualTorus(Sequence):
+class DualTorus:
     """The sampled dual torus as flat arrays, one row per sample.
 
     ``num`` is the read-only (N, n) int64 array of numerators over the common
     denominator ``den`` = |det M| (N itself for a whole torus), its rows in
     ascending order, which is ascending k_frac order; ``k_phys`` is the
-    read-only (N, n) float array of physical wave vectors.  An index gives
-    that row as a ``DualSample``, built on access; a slice gives the
-    ``DualTorus`` of those rows.
+    read-only (N, n) float array of physical wave vectors.
     """
 
     num: np.ndarray
@@ -179,14 +149,14 @@ class DualTorus(Sequence):
     def __len__(self) -> int:
         return len(self.num)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return DualTorus(self.num[i], self.den, self.k_phys[i])
-        return DualSample(tuple(self.num[i].tolist()), self.den, tuple(self.k_phys[i].tolist()))
 
-    def __iter__(self):
-        for num, k_phys in zip(self.num.tolist(), self.k_phys.tolist()):
-            yield DualSample(tuple(num), self.den, tuple(k_phys))
+def k_frac_text(num, den: int) -> tuple[str, ...]:
+    """str(Fraction(n, den)) for every numerator n of a row, from integers alone."""
+    out = []
+    for n in num:
+        g = gcd(n, den)
+        out.append(str(n // g) if den // g == 1 else f"{n // g}/{den // g}")
+    return tuple(out)
 
 
 def relation(a: Lattice, c: Lattice) -> Matrix:

@@ -12,14 +12,14 @@ under offset negation plus conjugation.
 
 Evaluating the phase from k_frac instead of the physical wave vector keeps
 rational frequencies exact up to the exponential itself: k_frac = 1/2 gives
-a turn of exactly 0.5 no matter how the lattice basis is conditioned.  The
-phases come from integer numerators, with no Fraction arithmetic per sample:
-with k_frac = num/den, the turn of offset j is the exact residue
-(<num, j> mod den) / den, rounded to a float once by int true division, and
-one vectorized exp covers all offsets of an operator.  The sum over offsets
-runs in ``multipliers`` order, which is ascending offset order however the
-operator was built, on the operator's cached (n, rows, cols) multiplier
-stack.
+a turn of exactly 0.5 no matter how the lattice basis is conditioned.
+symbol_at(l, num, den) takes k_frac as a row of integer numerators over den,
+as a DualTorus holds it, and needs no Fraction arithmetic: the turn of
+offset j is the exact residue (<num, j> mod den) / den, rounded to a float
+once by int true division, and one vectorized exp covers all offsets of an
+operator.  The sum over offsets runs in ``multipliers`` order, which is
+ascending offset order however the operator was built, on the operator's
+cached (n, rows, cols) multiplier stack.
 
 compute_spectrum implements the full sampling pipeline: rewrite all operators
 on their coarsest common sublattice, sample the dual torus for Z = C*M (in
@@ -32,8 +32,8 @@ the expression is walked once over the stacks (pinv still calls pinv_matrix
 once per matrix), one eigenvalues call covers the block, and one lexsort
 orders every row of its (B, n) eigenvalue array by (re, im).  Every step acts
 matrix by matrix, so the values are bit-identical to a per-sample loop.  A
-SpectrumResult holds the samples and eigenvalues as arrays; its ``records``
-are read-only row views built on access.
+SpectrumResult holds the samples and eigenvalues as arrays; a SpectrumRecord
+is built for a row only when ``records`` is read.
 """
 
 from __future__ import annotations
@@ -42,24 +42,33 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, pi
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
-from .crystal import DualSample, DualTorus, Lattice, sample_dual_torus
+from .crystal import DualTorus, Lattice, k_frac_text, sample_dual_torus
 from .operator import MultiplicationOperator, make_compatible
 
 
 @dataclass(frozen=True)
-class SpectrumRecord(DualSample):
-    """A dual-torus sample with the eigenvalues found there, sorted by (re, im)."""
+class SpectrumRecord:
+    """One row of a spectrum: the sample's numerators over ``den``, its
+    physical wave vector, and the eigenvalues found there, sorted by (re, im)."""
 
+    num: tuple[int, ...]
+    den: int
+    k_phys: tuple[float, ...]
     eigenvalues: tuple[complex, ...]
+
+    @property
+    def k_frac(self) -> tuple[Fraction, ...]:
+        """The exact fractional coordinates num/den, built on each access."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
 
 class SpectrumRecords(Sequence):
-    """Read-only row views of a spectrum: entry i is the SpectrumRecord of
-    sample i, built on access; a slice gives the views of those rows."""
+    """The rows of a spectrum: entry i is the SpectrumRecord of sample i,
+    built on access from the result's arrays."""
 
     def __init__(self, samples: DualTorus, eigenvalues: np.ndarray):
         self._samples = samples
@@ -69,14 +78,11 @@ class SpectrumRecords(Sequence):
         return len(self._samples)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SpectrumRecords(self._samples[i], self._eigenvalues[i])
-        s = self._samples[i]
-        return SpectrumRecord(s.num, s.den, s.k_phys, tuple(self._eigenvalues[i].tolist()))
-
-    def __iter__(self):
-        for s, eigs in zip(self._samples, self._eigenvalues.tolist()):
-            yield SpectrumRecord(s.num, s.den, s.k_phys, tuple(eigs))
+        s, i = self._samples, index(i)
+        return SpectrumRecord(
+            tuple(s.num[i].tolist()), s.den, tuple(s.k_phys[i].tolist()),
+            tuple(self._eigenvalues[i].tolist()),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,20 +103,17 @@ class SpectrumResult:
         return SpectrumRecords(self.samples, self.eigenvalues)
 
 
-def _numerators(k) -> tuple[tuple[int, ...], int]:
-    """A bare sequence of fractional coordinates as integer numerators over
-    one common denominator."""
-    k_frac = [Fraction(f) for f in k]
-    den = lcm(*(f.denominator for f in k_frac))
-    return tuple(f.numerator * (den // f.denominator) for f in k_frac), den
+def symbol_at(l: MultiplicationOperator, num, den: int = 1) -> np.ndarray:
+    """The symbol matrix of l at the frequency k_frac = num/den.
 
-
-def symbol_at(l: MultiplicationOperator, k) -> np.ndarray:
-    """The symbol matrix of l at a frequency sample.
-
-    k is either a DualSample or a bare sequence of fractional coordinates.
+    num is a row of integer numerators over den, such as a row of
+    ``DualTorus.num`` as Python ints; with the default den it may hold any
+    exact rationals, such as a tuple of Fractions.
     """
-    num, den = (k.num, k.den) if isinstance(k, DualSample) else _numerators(k)
+    if den == 1:
+        # exact rationals over their least common denominator
+        den = lcm(*(f.denominator for f in num))
+        num = [f.numerator * (den // f.denominator) for f in num]
     if len(num) != l.dim:
         raise ValueError(f"frequency has dimension {len(num)}, operator has dimension {l.dim}")
     offsets, stack = l._stack
@@ -165,13 +168,13 @@ def pinv_matrix(
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def eigenvalues(mtx) -> list:
-    """Eigenvalues of a square matrix in LAPACK order; for a (..., n, n)
-    stack, nested lists with one list per matrix."""
+def eigenvalues(mtx) -> np.ndarray:
+    """Eigenvalues of a square matrix, or of every matrix of a (..., n, n)
+    stack, as the complex array of one eigvals call, in LAPACK order."""
     arr = np.asarray(mtx, dtype=complex)
     if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ValueError("eigenvalues need a square matrix")
-    return np.linalg.eigvals(arr).tolist()
+    return np.linalg.eigvals(arr)
 
 
 #: Samples per stacked evaluation.  On graphene at res 41 the time is flat for
@@ -184,10 +187,12 @@ def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.nda
     """Each block of samples with its (B, n) eigenvalues, every row sorted by
     (re, im): one walk over the stacked symbols and one eigvals call per block."""
     for start in range(0, len(samples), _BLOCK):
-        block = samples[start:start + _BLOCK]
-        views = list(block)
-        env = {name: np.array([symbol_at(op, s) for s in views]) for name, op in named.items()}
-        k_frac = "(" + ", ".join(views[0].k_frac_text) + ")"
+        rows = slice(start, start + _BLOCK)
+        block = DualTorus(samples.num[rows], samples.den, samples.k_phys[rows])
+        nums = block.num.tolist()
+        den = block.den
+        env = {name: np.array([symbol_at(op, num, den) for num in nums]) for name, op in named.items()}
+        k_frac = "(" + ", ".join(k_frac_text(nums[0], den)) + ")"
         try:
             value = expr.eval_matrices(env)
         except ValueError as exc:
@@ -200,7 +205,7 @@ def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.nda
             )
         # an expression of identities alone is one matrix for every sample
         value = np.broadcast_to(value, (len(block),) + value.shape[-2:])
-        eigs = np.array(eigenvalues(value), dtype=complex)
+        eigs = eigenvalues(value)
         yield block, np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), -1)
 
 

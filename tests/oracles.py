@@ -124,17 +124,23 @@ def _det(m):
     return det
 
 
-def fraction_symbol_at(l, k) -> np.ndarray:
-    """The symbol of l at k by the plain formula: exact Fraction phases per
-    offset, each reduced mod 1 and exponentiated alone, summed from zero in
-    ``multipliers`` order.  k is a sample with ``k_frac`` or a sequence."""
-    k_frac = k.k_frac if hasattr(k, "k_frac") else tuple(Fraction(f) for f in k)
+def fraction_symbol_at(l, num, den=1) -> np.ndarray:
+    """The symbol of l at k_frac = num/den by the plain formula: exact
+    Fraction phases per offset, each reduced mod 1 and exponentiated alone,
+    summed from zero in ``multipliers`` order.  Takes symbol_at's arguments."""
+    k_frac = tuple(Fraction(f) / den for f in num)
     mat = np.zeros(l.shape, dtype=complex)
     for off, m in l.multipliers.items():
         t = sum(f * o for f, o in zip(k_frac, off))
         t = t - floor(t)
         mat = mat + m * np.exp(2j * pi * float(t))
     return mat
+
+
+def k_fracs(samples) -> list[tuple[Fraction, ...]]:
+    """The exact k_frac of every sample of a DualTorus: each row's
+    numerators over its denominator, as Fractions."""
+    return [tuple(Fraction(x, samples.den) for x in num) for num in samples.num.tolist()]
 
 
 def fraction_k_phys(dual_basis, num, den) -> np.ndarray:
@@ -177,10 +183,13 @@ def per_sample_spectrum(expr, named, samples, symbol_at):
     symbol, one walk over the 2-D matrices and one eigvals call, eigenvalues
     sorted by (re, im); rho is the running max of their moduli.  named maps
     identifiers to operators already on their common lattice; symbol_at is
-    passed in.  Returns (one eigenvalue tuple per sample, rho)."""
+    passed in and called on each row of the DualTorus ``samples``.  Returns
+    (one eigenvalue tuple per sample, rho)."""
     eigs = []
-    for s in samples:
-        value = expr.eval_matrices({name: symbol_at(op, s) for name, op in named.items()})
+    for num in samples.num.tolist():
+        value = expr.eval_matrices(
+            {name: symbol_at(op, num, samples.den) for name, op in named.items()}
+        )
         evs = [complex(v) for v in np.linalg.eigvals(value)]
         eigs.append(tuple(sorted(evs, key=lambda z: (z.real, z.imag))))
     rho = 0.0

@@ -80,8 +80,9 @@ def test_criterion_04_symbol_union_matches_dense_spectrum():
     for op in operators:
         for m in resolutions:
             union = []
-            for sample in sample_dual_torus(op.lattice, m):
-                union.extend(eigenvalues(symbol_at(op, sample)))
+            samples = sample_dual_torus(op.lattice, m)
+            for num in samples.num.tolist():
+                union.extend(eigenvalues(symbol_at(op, num, samples.den)))
             dense = dense_spectrum(assemble_dense(op, m))
             worst = max(worst, pair_eigenvalues(union, dense))
     assert worst < 1e-8

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,11 @@ import pytest
 from oracles import fraction_symbol_at, pair_eigenvalues
 from stencilfa import cli
 from stencilfa.cli import load_operator_file, main
-from stencilfa.crystal import DualSample
+from stencilfa.crystal import k_frac_text
 from stencilfa.expr import parse
 from stencilfa.gallery import build
 from stencilfa.oracle import assemble_dense, dense_spectrum
-from stencilfa.symbol import compute_spectrum
+from stencilfa.symbol import compute_spectrum, spectrum_blocks
 
 
 def run(capsys, *argv):
@@ -203,7 +207,7 @@ def csv_in_memory(result) -> str:
     )
     lines = [",".join(header)]
     for rec in result.records:
-        prefix = list(rec.k_frac_text) + [repr(x) for x in rec.k_phys]
+        prefix = list(k_frac_text(rec.num, rec.den)) + [repr(x) for x in rec.k_phys]
         for idx, e in enumerate(rec.eigenvalues):
             lines.append(",".join(prefix + [str(idx), repr(e.real), repr(e.imag), repr(abs(e))]))
     return "\n".join(lines) + "\n"
@@ -295,10 +299,135 @@ def test_spectrum_memory_does_not_grow_with_the_sample_count(tmp_path, capsys):
     assert peak < 2e6
 
 
+def test_json_memory_does_not_grow_with_the_sample_count(tmp_path, capsys):
+    # 16,384 records: the eigenvalue and sample arrays are held whole, the
+    # text one record at a time, never a dict or a string per sample
+    path = tmp_path / "curlcurl.json"
+    main(["spectrum", "--example", "curlcurl", "--resolution", "2", "--format", "json",
+          "--output", str(path)])
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--example", "curlcurl", "--resolution", "128",
+                     "--format", "json", "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("rho_max = ")
+    assert peak < 2e6
+
+
+def json_in_memory(result) -> str:
+    """The whole JSON document of a library result, dumped as one payload."""
+    payload = {
+        "expression": result.expression,
+        "lattice": [[float(x) for x in row] for row in result.lattice.basis],
+        "resolution": [[int(x) for x in row] for row in result.resolution],
+        "rho_max": result.rho,
+        "records": [
+            {
+                "k_frac": [str(f) for f in rec.k_frac],
+                "k_phys": list(rec.k_phys),
+                "eigenvalues": [[e.real, e.imag] for e in rec.eigenvalues],
+            }
+            for rec in result.records
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "example, resolution",
+    [
+        ("graphene", "9"),  # 81 samples: two blocks
+        ("curlcurl", "7"),
+        ("laplacian-rb", "[[3,4611686018427387904],[0,5]]"),
+    ],
+)
+def test_streamed_json_equals_json_dumps_of_the_payload(tmp_path, capsys, example, resolution):
+    entry = build(example)
+    expr = parse(entry.expression)
+    env = {name: entry.operators[name] for name in sorted(expr.identifiers())}
+    result = compute_spectrum(expr, env, cli._parse_resolution_flag(resolution, entry.dim))
+    want = json_in_memory(result)
+    rho_line = f"rho_max = {result.rho:.8f}\n"
+    path = tmp_path / "out.json"
+    argv = ["spectrum", "--example", example, "--resolution", resolution, "--format", "json"]
+    assert run(capsys, *argv, "--output", str(path)) == (0, rho_line, "")
+    assert path.read_text(encoding="utf-8") == want
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert run(capsys, *argv) == (0, want + rho_line, "")
+
+
+def test_no_spectrum_record_is_built_on_the_array_paths(tmp_path, capsys, monkeypatch):
+    def no_record(*args):
+        raise AssertionError("a SpectrumRecord was built")
+
+    monkeypatch.setattr("stencilfa.symbol.SpectrumRecord", no_record)
+    argv = ["spectrum", "--example", "curlcurl", "--resolution", "9"]
+    assert run(capsys, *argv, "--output", str(tmp_path / "x.csv"))[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--format", "json", "--output", str(tmp_path / "x.json"))[0] == 0
+    assert run(capsys, "verify", "--example", "graphene", "--resolution", "4")[0] == 0
+    entry = build("graphene")
+    expr = parse(entry.expression)
+    m = [[9, 0], [0, 9]]
+    assert sum(len(block) for block, _ in spectrum_blocks(expr, entry.operators, m)) == 81
+    result = compute_spectrum(expr, entry.operators, m)
+    assert len(result.records) == 81
+    with pytest.raises(AssertionError, match="SpectrumRecord"):
+        result.records[0]
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    spectrum = ["spectrum", "--example", "laplacian-rb", "--resolution", "3"]
+    for argv, path in [
+        (spectrum + ["--output", str(missing)], missing),
+        (spectrum + ["--format", "json", "--output", str(missing)], missing),
+        (spectrum + ["--output", str(tmp_path)], tmp_path),
+        (["describe", "--example", "graphene", "--output", str(missing)], missing),
+        (["describe", "--example", "graphene", "--format", "json", "--output", str(tmp_path)], tmp_path),
+    ]:
+        code, out, err = run(capsys, *argv)
+        reason = "No such file or directory" if path == missing else "Is a directory"
+        assert (code, out, err) == (1, "", f"error: cannot write {path}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_plot_script_is_one_error_line_after_the_csv(tmp_path, capsys):
+    csv, plot = tmp_path / "x.csv", tmp_path / "missing" / "p.gp"
+    code, out, err = run(
+        capsys, "spectrum", "--example", "laplacian-rb", "--resolution", "3",
+        "--output", str(csv), "--emit-plot", str(plot),
+    )
+    assert (code, out, err) == (1, "", f"error: cannot write {plot}: No such file or directory\n")
+    assert csv.read_text(encoding="utf-8").startswith("k_frac_1,")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 2,048 CSV rows are more than a pipe holds, so writes go on after the
+    # reader has closed its end
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stencilfa.cli", "spectrum", "--example", "curlcurl",
+         "--resolution", "32"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"k_frac_1,")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 @pytest.mark.parametrize("den", [1, 2, 3, 12, 41, 64, 360])
 def test_k_frac_text_matches_fraction(den):
-    nums = tuple(range(den))
-    assert DualSample(nums, den, ()).k_frac_text == tuple(str(Fraction(n, den)) for n in nums)
+    nums = list(range(den))
+    assert k_frac_text(nums, den) == tuple(str(Fraction(n, den)) for n in nums)
 
 
 def test_spectrum_matrix_resolution(capsys):
@@ -585,7 +714,7 @@ def test_verify_gallery_entries_pass(capsys):
 
 def test_verify_catches_a_wrong_symbol_route(capsys, monkeypatch):
     right = cli.symbol_at
-    monkeypatch.setattr(cli, "symbol_at", lambda op, sample: right(op, sample) * (1 + 1e-6))
+    monkeypatch.setattr(cli, "symbol_at", lambda op, num, den: right(op, num, den) * (1 + 1e-6))
     code, out, _ = run(capsys, "verify", "--example", "graphene", "--resolution", "4")
     assert code != 0
     status = {line[:44].rstrip(): line.split()[-1] for line in out.splitlines()}

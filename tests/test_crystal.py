@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stencilfa.crystal import (
     SAMPLE_CAP,
-    DualSample,
     DualTorus,
     Lattice,
     QuotientMap,
@@ -27,6 +26,7 @@ from stencilfa.intlat import det_exact, mat_inv
 from oracles import (
     fraction_k_phys,
     intersection_determinant,
+    k_fracs,
     per_sample_numerators,
     quotient_listing,
 )
@@ -154,15 +154,15 @@ def test_dual_basis_inner_products():
 def test_dual_samples_square_doubling():
     a = Lattice([[1, 0], [0, 1]])
     samples = sample_dual_torus(a, [[2, 0], [0, 2]])
-    fracs = [s.k_frac for s in samples]
+    fracs = k_fracs(samples)
     assert fracs == [
         (Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(0)),
         (Fraction(1, 2), Fraction(1, 2)),
     ]
-    for s in samples:
-        assert s.k_phys == tuple(float(f) for f in s.k_frac)
+    for k_frac, k_phys in zip(fracs, samples.k_phys.tolist()):
+        assert k_phys == [float(f) for f in k_frac]
 
 
 def test_dual_samples_skew_resolution():
@@ -170,24 +170,22 @@ def test_dual_samples_skew_resolution():
     m = [[2, 3], [2, -2]]
     samples = sample_dual_torus(a, m)
     assert len(samples) == 10
-    assert len(set(s.k_frac for s in samples)) == 10
-    for s in samples:
-        assert all(0 <= f < 1 for f in s.k_frac)
+    assert len(set(k_fracs(samples))) == 10
+    for k_frac in k_fracs(samples):
+        assert all(0 <= f < 1 for f in k_frac)
         # each sample is a dual(Z) point: M^T k_frac must be integral
         for i in range(2):
-            v = m[0][i] * s.k_frac[0] + m[1][i] * s.k_frac[1]
+            v = m[0][i] * k_frac[0] + m[1][i] * k_frac[1]
             assert v == int(v)
 
 
-def test_dual_torus_indexing_gives_row_views():
+def test_dual_torus_holds_the_samples_as_array_rows():
     samples = sample_dual_torus(Lattice([[1, 0], [0, 1]]), [[3, 1], [0, 2]])
-    rows = list(samples)
-    assert [samples[i] for i in range(len(samples))] == rows
-    assert samples[-1] == rows[-1]
-    assert all(type(s) is DualSample for s in rows)
-    part = samples[2:5]
-    assert type(part) is DualTorus and part.den == samples.den == 6
-    assert list(part) == rows[2:5]
+    assert type(samples) is DualTorus and samples.den == 6
+    assert len(samples) == samples.num.shape[0] == samples.k_phys.shape[0] == 6
+    assert samples.num.shape == samples.k_phys.shape == (6, 2)
+    # a sample is a row of the arrays: no per-sample object is built
+    assert not hasattr(samples, "__getitem__") and not hasattr(samples, "__iter__")
 
 
 def test_sampling_refuses_a_torus_above_the_cap_before_listing(monkeypatch):
@@ -259,7 +257,7 @@ def test_dual_sample_count_and_uniqueness(m):
     a = Lattice([[1, 0], [0, 1]])
     samples = sample_dual_torus(a, m)
     assert len(samples) == abs(det_exact(m))
-    assert len(set(s.k_frac for s in samples)) == len(samples)
+    assert len(set(k_fracs(samples))) == len(samples)
 
 
 @st.composite
@@ -283,21 +281,21 @@ def test_dual_samples_are_the_integer_dual_torus(case):
     d = abs(det_exact(m))
     samples = sample_dual_torus(a, m)
     assert len(samples) == d
-    assert len({s.num for s in samples}) == d
+    rows = [tuple(num) for num in samples.num.tolist()]
+    assert len(set(rows)) == d
     # the canonical listing of Z^n / M^T Z^n, sorted by numerator
     listing = quotient_listing([list(col) for col in zip(*m)])
-    assert [s.num for s in samples] == sorted(per_sample_numerators(m, listing))
-    assert samples.num.dtype == np.int64 and samples.num.tolist() == [list(s.num) for s in samples]
+    assert rows == sorted(per_sample_numerators(m, listing))
+    assert samples.num.dtype == np.int64 and samples.num.shape == (d, n)
     assert not samples.num.flags.writeable and not samples.k_phys.flags.writeable
+    assert samples.den == d
     dual = dual_basis(a).basis
-    for s in samples:
-        assert s.den == d and len(s.num) == n
-        assert all(0 <= x < d for x in s.num)
+    for num, k_phys in zip(rows, samples.k_phys):
+        assert all(0 <= x < d for x in num)
         # M^T k_frac is integral: M^T num vanishes modulo den
-        assert all(sum(m[r][i] * s.num[r] for r in range(n)) % d == 0 for i in range(n))
-        assert s.k_frac == tuple(Fraction(x, d) for x in s.num)
+        assert all(sum(m[r][i] * num[r] for r in range(n)) % d == 0 for i in range(n))
         # bit for bit the per-sample product of the float fractions
-        assert np.array(s.k_phys).tobytes() == fraction_k_phys(dual, s.num, s.den).tobytes()
+        assert k_phys.tobytes() == fraction_k_phys(dual, num, d).tobytes()
 
 
 @pytest.mark.parametrize("m", [[[3, 2**62], [0, 5]], [[2**62, 2**62 - 1], [1, 1]]])
@@ -306,7 +304,7 @@ def test_dual_sample_numerators_with_entries_near_int64_limit(m):
     # the product with the listing
     listing = quotient_listing([list(col) for col in zip(*m)])
     samples = sample_dual_torus(Lattice([[1, 0], [0, 1]]), m)
-    assert [s.num for s in samples] == sorted(per_sample_numerators(m, listing))
+    assert [tuple(num) for num in samples.num.tolist()] == sorted(per_sample_numerators(m, listing))
 
 
 @st.composite

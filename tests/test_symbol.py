@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from oracles import (
     charpoly_eigenvalues,
     fraction_symbol_at,
+    k_fracs,
     pair_eigenvalues,
     per_sample_spectrum,
     where_pinv_matrix,
 )
-from stencilfa.crystal import DualSample, Lattice, StructureElement, sample_dual_torus
+from stencilfa.crystal import Lattice, StructureElement, sample_dual_torus
 from stencilfa.expr import parse
 from stencilfa.gallery import build
 from stencilfa.operator import (
@@ -79,24 +80,30 @@ def test_laplacian_symbol_closed_form():
 
 def test_symbol_accepts_dual_sample():
     l = five_point()
-    for sample in sample_dual_torus(l.lattice, [[2, 0], [0, 2]]):
-        s = symbol_at(l, sample)
+    samples = sample_dual_torus(l.lattice, [[2, 0], [0, 2]])
+    for num in samples.num.tolist():
+        s = symbol_at(l, num, samples.den)
         assert s.shape == (1, 1)
+        assert np.array_equal(s, symbol_at(l, [Fraction(x, samples.den) for x in num]))
 
 
 def test_symbol_of_dual_sample_uses_only_integer_numerators(monkeypatch):
     l = five_point()
-    want = symbol_at(l, sample_dual_torus(l.lattice, [[4, 0], [0, 4]])[9])
+    want = symbol_at(l, (Fraction(1, 2), Fraction(1, 4)))
 
     def no_fraction(*args):
-        raise AssertionError("Fraction built for a DualSample")
+        raise AssertionError("Fraction built for an integer row")
 
-    # neither sampling nor the symbol of a sample builds a Fraction
+    # neither sampling nor the symbol of a sample row builds a Fraction
     monkeypatch.setattr("stencilfa.crystal.Fraction", no_fraction)
     monkeypatch.setattr("stencilfa.symbol.Fraction", no_fraction)
-    sample = sample_dual_torus(l.lattice, [[4, 0], [0, 4]])[9]
-    assert (sample.num, sample.den) == ((8, 4), 16)
-    assert np.array_equal(symbol_at(l, sample), want)
+    samples = sample_dual_torus(l.lattice, [[4, 0], [0, 4]])
+    num = samples.num.tolist()[9]
+    assert (num, samples.den) == ([8, 4], 16)
+    assert np.array_equal(symbol_at(l, num, samples.den), want)
+    # the one sample of a trivial torus is an integer row over den 1
+    point = sample_dual_torus(l.lattice, [[1, 0], [0, 1]])
+    assert np.array_equal(symbol_at(l, point.num.tolist()[0], point.den), symbol_at(l, [0, 0]))
 
 
 def test_symbol_of_multislot_operator_shape():
@@ -117,9 +124,11 @@ def test_symbol_rejects_frequency_of_wrong_dimension():
     for k in ((Fraction(1, 4),), (Fraction(1, 4), 0, Fraction(1, 2))):
         with pytest.raises(ValueError, match=f"frequency has dimension {len(k)}, operator has dimension 2"):
             symbol_at(l, k)
-    sample = sample_dual_torus(Lattice([[1.0]]), [[4]])[1]
+    samples = sample_dual_torus(Lattice([[1.0]]), [[4]])
     with pytest.raises(ValueError, match="frequency has dimension 1, operator has dimension 2"):
-        symbol_at(l, sample)
+        symbol_at(l, samples.num.tolist()[1], samples.den)
+    with pytest.raises(ValueError, match="frequency has dimension 3, operator has dimension 2"):
+        symbol_at(l, [1, 0, 2], 4)
 
 
 _BIG = 10**30
@@ -152,10 +161,11 @@ def test_symbol_matches_fraction_formula_bit_for_bit(seed, dim, shape, offsets, 
     if as_sample:
         # a common denominator of k, not always the least one
         den = lcm(*(f.denominator for f in k)) * int(rng.integers(1, 2**40))
-        num = tuple(int(f * den) % den for f in k)
-        k = DualSample(num, den, (0.0,) * dim)
-    got = symbol_at(l, k)
-    assert _same_bits(got, fraction_symbol_at(l, k))
+        k = (tuple(int(f * den) % den for f in k), den)
+    else:
+        k = (k,)
+    got = symbol_at(l, *k)
+    assert _same_bits(got, fraction_symbol_at(l, *k))
     if not l.multipliers:
         assert _same_bits(got, np.zeros(shape, dtype=complex))
 
@@ -292,12 +302,12 @@ def test_eigenvalues_of_a_stack_equal_one_call_per_matrix(seed, n, count, real):
     if not real:
         stack = stack + 1j * rng.normal(size=(count, n, n))
     got = eigenvalues(stack)
-    # a 2-D input gives the Python complex values of one eigvals call on
-    # the complex matrix, and a stack one such list per matrix
-    want = [[complex(v) for v in np.linalg.eigvals(m.astype(complex))] for m in stack]
-    assert got == want
-    assert all(type(v) is complex for vals in got for v in vals)
-    assert [eigenvalues(m) for m in stack] == want
+    # a 2-D input gives the values of one eigvals call on the complex
+    # matrix, and a stack one such row per matrix
+    want = [np.linalg.eigvals(m.astype(complex)) for m in stack]
+    assert got.dtype == complex and got.shape == (count, n)
+    assert got.tobytes() == np.array(want, dtype=complex).reshape(count, n).tobytes()
+    assert all(_same_bits(eigenvalues(m), w) for m, w in zip(stack, want))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
@@ -354,11 +364,14 @@ def test_spectrum_matches_per_sample_walk(name, text, m, count):
     env = {k: op for k, op in entry.operators.items() if k in expr.identifiers()}
     res = compute_spectrum(expr, env, m)
     named = dict(zip(env, make_compatible(list(env.values()))))
-    samples = sorted(sample_dual_torus(res.lattice, m), key=lambda s: s.num)
+    samples = sample_dual_torus(res.lattice, m)
+    rows = [tuple(num) for num in samples.num.tolist()]
+    assert rows == sorted(rows)
     eigs, rho = per_sample_spectrum(expr, named, samples, symbol_at)
     assert len(res.records) == count
     assert [(r.num, r.den, r.k_phys, r.k_frac) for r in res.records] == [
-        (s.num, s.den, s.k_phys, s.k_frac) for s in samples
+        (num, samples.den, tuple(k_phys), k_frac)
+        for num, k_phys, k_frac in zip(rows, samples.k_phys.tolist(), k_fracs(samples))
     ]
     # repr tells -0.0 from 0.0, so equal text is equal bits
     assert repr([r.eigenvalues for r in res.records]) == repr(eigs)
@@ -371,13 +384,16 @@ def test_records_are_read_only_views_of_the_result_arrays():
     recs = list(res.records)
     assert len(res.records) == len(res.samples) == res.eigenvalues.shape[0] == 10
     assert not res.eigenvalues.flags.writeable
-    for i, (rec, s) in enumerate(zip(recs, res.samples)):
-        assert (rec.num, rec.den, rec.k_phys, rec.k_frac) == (s.num, s.den, s.k_phys, s.k_frac)
+    samples = res.samples
+    for i, (rec, num, k_phys) in enumerate(zip(recs, samples.num.tolist(), samples.k_phys.tolist())):
+        assert (rec.num, rec.den, rec.k_phys) == (tuple(num), samples.den, tuple(k_phys))
+        assert rec.k_frac == tuple(Fraction(x, samples.den) for x in num)
         assert rec.eigenvalues == tuple(res.eigenvalues[i].tolist())
         assert list(rec.eigenvalues) == sorted(rec.eigenvalues, key=lambda z: (z.real, z.imag))
         assert res.records[i] == rec
     assert res.records[-1] == recs[-1]
-    assert list(res.records[3:7]) == recs[3:7]
+    with pytest.raises(TypeError):
+        res.records[3:7]
 
 
 def test_spectrum_blocks_give_the_result_block_by_block():

@@ -6,6 +6,12 @@ reaches them through the discrete gradient, but their damping is still set
 by the zero-order term.  The spectral radius therefore approaches 1 like
 1 - sigma_h/2 as sigma_h -> 0, which this sweep makes visible.
 
+``--resolution M`` samples the torus A*M of the edge lattice A, the torus of
+``stencilfa spectrum --example curlcurl --resolution M``: compute_spectrum
+binds only the operators the expression names, so the entry's restriction R,
+which lives on the coarse lattice 2A and is not in the expression, plays no
+part.
+
     python3 scripts/curlcurl_smoother_scaling.py
     python3 scripts/curlcurl_smoother_scaling.py --resolution 16 --csv out.csv
 """

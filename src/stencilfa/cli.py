@@ -44,7 +44,7 @@ from .oracle import (
     translation_residual,
     wave_gram_residual,
 )
-from .symbol import SpectrumResult, compute_spectrum, eigenvalues, spectrum_blocks, symbol_at
+from .symbol import BLOCK, SpectrumResult, compute_spectrum, eigenvalues, spectrum_blocks, symbol_at
 
 EXIT_SCHEMA = 1
 EXIT_INCOMPATIBLE = 2
@@ -343,9 +343,9 @@ def _csv_header(dim: int) -> str:
 
 def _rows(samples: DualTorus, eigs: np.ndarray) -> Iterator[tuple]:
     """(k_frac text, k_phys, eigenvalues) of every sample as Python values,
-    the arrays read 64 rows at a time."""
-    for start in range(0, len(samples), 64):
-        rows = slice(start, start + 64)
+    the arrays read BLOCK rows at a time."""
+    for start in range(0, len(samples), BLOCK):
+        rows = slice(start, start + BLOCK)
         for num, k_phys, row in zip(
             samples.num[rows].tolist(), samples.k_phys[rows].tolist(), eigs[rows].tolist()
         ):
@@ -464,24 +464,18 @@ def cmd_spectrum(args) -> int:
         ast = parse(expr_text)
     except ValueError as exc:
         raise ExpressionError(f"bad expression: {exc}") from None
-    missing = sorted(ast.identifiers() - set(entry.operators))
-    if missing:
-        raise ExpressionError(
-            f"expression references unknown operators: {', '.join(missing)}"
-        )
-    env = {name: entry.operators[name] for name in sorted(ast.identifiers())}
     with _spectrum_errors():
         if args.format == "json":
             # rho_max comes before the records, so the spectrum is computed
             # whole; the text is written record by record
-            result = compute_spectrum(ast, env, resolution)
+            result = compute_spectrum(ast, entry.operators, resolution)
             rho = result.rho
             with _output(args.output) as out:
                 out.writelines(_json_text(result))
         else:
-            blocks = spectrum_blocks(ast, env, resolution)
+            blocks = spectrum_blocks(ast, entry.operators, resolution)
             # the first block is computed before anything is written: the
-            # sampling, size and shape errors all surface there
+            # binding, sampling, size and shape errors all surface there
             first = next(blocks)
             rho = 0.0
             with _output(args.output) as out:

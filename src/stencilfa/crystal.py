@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, inf, prod
 from operator import mul
 
 import numpy as np
@@ -272,7 +272,9 @@ def dual_basis(a: Lattice) -> Lattice:
 
 def integer_resolution(a: Lattice, m) -> tuple[list[list[int]], int]:
     """The resolution matrix M of the torus A*M as Python ints, and |det M|."""
-    mm = [[int(x) for x in row] for row in m]
+    mm = [[int(x) if abs(x) < inf else None for x in row] for row in m]  # no int for nan, inf
+    if mm != [list(row) for row in m]:
+        raise ValueError("resolution entries must have integer values (3 or 3.0, not 2.5)")
     n = len(mm)
     if any(len(row) != n for row in mm) or n != a.dim:
         raise ValueError("resolution matrix must be square and match the lattice dimension")

@@ -286,6 +286,15 @@ class Expression:
             if isinstance(node, (Ident, Identity)) and node.name is not None
         }
 
+    def bind(self, env) -> dict:
+        """The entries of env that the expression names, in sorted-name order."""
+        names = sorted(self.identifiers())
+        missing = [name for name in names if name not in env]
+        if missing:  # one error naming every unbound name
+            listed = ", ".join(map(repr, missing))
+            raise EvaluationError(f"unbound identifier{'s' * (len(missing) > 1)} {listed}")
+        return {name: env[name] for name in names}
+
     def __str__(self) -> str:
         return self.text
 

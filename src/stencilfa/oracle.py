@@ -268,15 +268,13 @@ def translation_residual(matrix: TorusTriples) -> float:
 def eval_dense(expr, env, m) -> np.ndarray:
     """Evaluate an expression on dense torus matrices (independent route).
 
-    The operators are rewritten on their common lattice first, exactly like
-    compute_spectrum does, then each is assembled on the torus Z = C*M and the
-    expression is evaluated on the big matrices, pseudo-inverses included.
+    Like compute_spectrum, this binds the operators the expression names and
+    rewrites them on their common lattice C; each is assembled on the torus
+    Z = C*M and the expression evaluated on the big matrices, pinv included.
     """
-    names = list(env)
-    if not names:
-        raise ValueError("expression environment is empty")
-    compatible = make_compatible([env[name] for name in names])
-    denses = {name: assemble_dense(op, m).dense() for name, op in zip(names, compatible)}
+    bound = expr.bind(env)
+    compatible = make_compatible(list(bound.values()))
+    denses = {name: assemble_dense(op, m).dense() for name, op in zip(bound, compatible)}
     return expr.eval_matrices(denses)
 
 

@@ -21,19 +21,19 @@ operator.  The sum over offsets runs in ``multipliers`` order, which is
 ascending offset order however the operator was built, on the operator's
 cached (n, rows, cols) multiplier stack.
 
-compute_spectrum implements the full sampling pipeline: rewrite all operators
-on their coarsest common sublattice, sample the dual torus for Z = C*M (in
-k_frac order, at most SAMPLE_CAP samples), evaluate the expression on the
-symbol matrices at every sample, and collect eigenvalues.  spectrum_blocks
-yields the same evaluation block by block, so a caller such as the CLI's CSV
-writer can hand each block on before the next is computed.  A block is 64
-samples: each operator's symbol_at matrices are stacked to (B, rows, cols),
-the expression is walked once over the stacks (pinv still calls pinv_matrix
-once per matrix), one eigenvalues call covers the block, and one lexsort
-orders every row of its (B, n) eigenvalue array by (re, im).  Every step acts
-matrix by matrix, so the values are bit-identical to a per-sample loop.  A
-SpectrumResult holds the samples and eigenvalues as arrays; a SpectrumRecord
-is built for a row only when ``records`` is read.
+compute_spectrum binds the operators the expression names (Expression.bind),
+rewrites them on their coarsest common sublattice C, samples the dual torus
+of Z = C*M (in k_frac order, at most SAMPLE_CAP samples), evaluates the
+expression on the symbol matrices at every sample, and collects
+eigenvalues.  spectrum_blocks yields the same evaluation block by block, so a
+caller such as the CLI's CSV writer can hand each block on before the next is
+computed.  A block is BLOCK = 64 samples: each operator's symbol_at matrices
+are stacked to (B, rows, cols), the expression is walked once over the stacks
+(pinv still calls pinv_matrix once per matrix), one eigenvalues call covers
+the block, and one lexsort orders every row of its (B, n) eigenvalue array by
+(re, im).  Every step acts matrix by matrix, so the values are bit-identical
+to a per-sample loop.  A SpectrumResult holds the samples and eigenvalues as
+arrays; a SpectrumRecord is built for a row only when ``records`` is read.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from operator import index, mul
 
 import numpy as np
 
-from .crystal import DualTorus, Lattice, k_frac_text, sample_dual_torus
+from .crystal import DualTorus, Lattice, integer_resolution, k_frac_text, sample_dual_torus
 from .operator import MultiplicationOperator, make_compatible
 
 
@@ -177,17 +177,17 @@ def eigenvalues(mtx) -> np.ndarray:
     return np.linalg.eigvals(arr)
 
 
-#: Samples per stacked evaluation.  On graphene at res 41 the time is flat for
-#: blocks of 32 to 512, while one stack of all 1681 samples raises the peak
-#: memory of the process from 33 to 50 MB.
-_BLOCK = 64
+#: Samples per stacked evaluation and per read of a result's arrays.  On
+#: graphene at res 41 the time is flat for blocks of 32 to 512, while one stack
+#: of all 1681 samples raises the peak memory of the process from 33 to 50 MB.
+BLOCK = 64
 
 
 def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.ndarray]]:
     """Each block of samples with its (B, n) eigenvalues, every row sorted by
     (re, im): one walk over the stacked symbols and one eigvals call per block."""
-    for start in range(0, len(samples), _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    for start in range(0, len(samples), BLOCK):
+        rows = slice(start, start + BLOCK)
         block = DualTorus(samples.num[rows], samples.den, samples.k_phys[rows])
         nums = block.num.tolist()
         den = block.den
@@ -209,39 +209,37 @@ def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.nda
         yield block, np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), -1)
 
 
-def _sampled(env, m) -> tuple[dict, Lattice, DualTorus]:
-    """The operators rewritten on their common lattice C, by name, with C and
-    the dual torus of Z = C*m."""
-    names = list(env)
-    if not names:
-        raise ValueError("expression environment is empty")
-    compatible = make_compatible([env[name] for name in names])
+def _sampled(expr, env, m) -> tuple[dict, Lattice, DualTorus]:
+    """The operators the expression names, rewritten on their common lattice
+    C, by name, with C and the dual torus of Z = C*m."""
+    bound = expr.bind(env)
+    compatible = make_compatible(list(bound.values()))
     lattice = compatible[0].lattice
-    return dict(zip(names, compatible)), lattice, sample_dual_torus(lattice, m)
+    return dict(zip(bound, compatible)), lattice, sample_dual_torus(lattice, m)
 
 
 def spectrum_blocks(expr, env, m) -> Iterator[tuple[DualTorus, np.ndarray]]:
     """compute_spectrum's evaluation, one block of samples at a time.
 
-    Yields (samples, eigenvalues) per block of up to 64 samples in k_frac
+    Yields (samples, eigenvalues) per block of up to BLOCK samples in k_frac
     order, the eigenvalues a (B, n) complex array with every row sorted by
     (re, im).  Nothing is computed before the first block is drawn; the
-    compatibility rewrite and the sampling run then, so their errors, like
-    an expression's, surface at the first draw.
+    binding, the compatibility rewrite and the sampling run then, so their
+    errors, like an expression's, surface at the first draw.
     """
-    named, _, samples = _sampled(env, m)
+    named, _, samples = _sampled(expr, env, m)
     yield from _blocks(expr, named, samples)
 
 
 def compute_spectrum(expr, env, m) -> SpectrumResult:
     """Sample the spectrum of an operator expression over the dual torus.
 
-    expr is a parsed expression (anything with eval_matrices(name->matrix)),
-    env maps identifier names to operators, m is the integer resolution
-    matrix: the sampled torus is Z = C*m with C the common lattice after
-    compatibility rewriting.
+    expr is a parsed Expression; it binds the operators of env it names
+    (Expression.bind), and any others play no part.  m is the integer
+    resolution matrix: the sampled torus is Z = C*m with C the common lattice
+    of the bound operators after compatibility rewriting.
     """
-    named, lattice, samples = _sampled(env, m)
+    named, lattice, samples = _sampled(expr, env, m)
     parts = []
     rho = 0.0
     for _, eigs in _blocks(expr, named, samples):
@@ -251,12 +249,11 @@ def compute_spectrum(expr, env, m) -> SpectrumResult:
         rho = max(rho, max(map(abs, eigs.ravel().tolist())))
     all_eigs = np.concatenate(parts)
     all_eigs.setflags(write=False)
-    resolution = tuple(tuple(int(x) for x in row) for row in m)
     return SpectrumResult(
         samples=samples,
         eigenvalues=all_eigs,
         rho=rho,
-        resolution=resolution,
+        resolution=tuple(map(tuple, integer_resolution(lattice, m)[0])),
         lattice=lattice,
-        expression=getattr(expr, "text", str(expr)),
+        expression=expr.text,
     )

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from stencilfa import cli
 from stencilfa.cli import load_operator_file, main
 from stencilfa.crystal import k_frac_text
 from stencilfa.expr import parse
-from stencilfa.gallery import build
+from stencilfa.gallery import build, entry_names
 from stencilfa.oracle import assemble_dense, dense_spectrum
 from stencilfa.symbol import compute_spectrum, spectrum_blocks
 
@@ -224,9 +225,7 @@ def csv_in_memory(result) -> str:
 def test_streamed_csv_equals_the_csv_built_in_memory(tmp_path, capsys, example, resolution):
     entry = build(example)
     expr = parse(entry.expression)
-    # bound as the CLI binds them: only the operators the expression names
-    env = {name: entry.operators[name] for name in sorted(expr.identifiers())}
-    result = compute_spectrum(expr, env, cli._parse_resolution_flag(resolution, entry.dim))
+    result = compute_spectrum(expr, entry.operators, cli._parse_resolution_flag(resolution, entry.dim))
     want = csv_in_memory(result)
     rho_line = f"rho_max = {result.rho:.8f}\n"
     path = tmp_path / "out.csv"
@@ -237,6 +236,19 @@ def test_streamed_csv_equals_the_csv_built_in_memory(tmp_path, capsys, example, 
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     code, out, err = run(capsys, "spectrum", "--example", example, "--resolution", resolution)
     assert (code, out, err) == (0, want + rho_line, "")
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_library_call_on_a_whole_entry_gives_the_cli_csv(capsys, name):
+    # both bind the operators the expression names: curlcurl's unused R,
+    # on a coarser lattice, must not move the library's torus
+    entry = build(name)
+    argv = ["spectrum", "--example", name]
+    if name == "graphene":  # 9 instead of the default 41, for time
+        entry = replace(entry, resolution=((9, 0), (0, 9)))
+        argv += ["--resolution", "9"]
+    result = compute_spectrum(parse(entry.expression), entry.operators, entry.resolution)
+    assert run(capsys, *argv) == (0, csv_in_memory(result) + f"rho_max = {result.rho:.8f}\n", "")
 
 
 def test_failed_spectrum_leaves_no_output_file(tmp_path, capsys, monkeypatch):
@@ -347,8 +359,7 @@ def json_in_memory(result) -> str:
 def test_streamed_json_equals_json_dumps_of_the_payload(tmp_path, capsys, example, resolution):
     entry = build(example)
     expr = parse(entry.expression)
-    env = {name: entry.operators[name] for name in sorted(expr.identifiers())}
-    result = compute_spectrum(expr, env, cli._parse_resolution_flag(resolution, entry.dim))
+    result = compute_spectrum(expr, entry.operators, cli._parse_resolution_flag(resolution, entry.dim))
     want = json_in_memory(result)
     rho_line = f"rho_max = {result.rho:.8f}\n"
     path = tmp_path / "out.json"
@@ -556,13 +567,14 @@ def test_bad_expression_syntax_is_expression_error(capsys):
     assert "expression" in err
 
 
-def test_unknown_identifier_is_expression_error(capsys):
-    code, _, err = run(
-        capsys, "spectrum", "--example", "graphene", "--expr", "L + Q",
-        "--resolution", "3",
-    )
-    assert code == 3
-    assert "Q" in err
+def test_unknown_identifier_is_expression_error(tmp_path, capsys):
+    # one error naming every unknown operator, before anything is written
+    argv = ["spectrum", "--example", "graphene", "--expr", "Z*L + Q", "--resolution", "3"]
+    want = (3, "", "error: unbound identifiers 'Q', 'Z'\n")
+    for fmt in ("csv", "json"):
+        assert run(capsys, *argv, "--format", fmt) == want
+        assert run(capsys, *argv, "--format", fmt, "--output", str(tmp_path / "out")) == want
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_expression_without_identifier_is_expression_error(capsys):

@@ -11,6 +11,7 @@ from stencilfa.crystal import Lattice, StructureElement
 from stencilfa.expr import (
     Add,
     Adjoint,
+    EvaluationError,
     ExprSyntaxError,
     Expression,
     Ident,
@@ -240,6 +241,14 @@ def test_eval_identity_named_square():
     env = _env2()
     got = parse("I(A) - A").eval_matrices(env)
     assert np.allclose(got, np.eye(2) - env["A"], atol=1e-14)
+
+
+def test_bind_takes_the_named_entries_in_sorted_order():
+    env = {"Z": 0, "C": 3, "A": 1, "B": 2}
+    bound = parse("I(B) - C*A").bind(env)
+    assert list(bound.items()) == [("A", 1), ("B", 2), ("C", 3)]
+    with pytest.raises(EvaluationError, match="^unbound identifiers 'D', 'E'$"):
+        parse("E*A + D").bind(env)
 
 
 def test_eval_unbound_identifier():

@@ -17,7 +17,7 @@ from oracles import (
     where_pinv_matrix,
 )
 from stencilfa.crystal import Lattice, StructureElement, sample_dual_torus
-from stencilfa.expr import parse
+from stencilfa.expr import EvaluationError, parse
 from stencilfa.gallery import build
 from stencilfa.operator import (
     MultiplicationOperator,
@@ -29,7 +29,7 @@ from stencilfa.operator import (
     mul,
     normalize,
 )
-from stencilfa.oracle import assemble_dense
+from stencilfa.oracle import assemble_dense, eval_dense
 from stencilfa.symbol import (
     compute_spectrum,
     eigenvalues,
@@ -399,17 +399,16 @@ def test_records_are_read_only_views_of_the_result_arrays():
 def test_spectrum_blocks_give_the_result_block_by_block():
     entry = build("graphene")
     expr = parse(entry.expression)
-    env = {k: op for k, op in entry.operators.items() if k in expr.identifiers()}
     m = [[9, 0], [0, 9]]
-    res = compute_spectrum(expr, env, m)
-    blocks = list(spectrum_blocks(expr, env, m))
+    res = compute_spectrum(expr, entry.operators, m)
+    blocks = list(spectrum_blocks(expr, entry.operators, m))
     assert [len(block) for block, _ in blocks] == [64, 17]
     assert all(eigs.shape == (len(block), 8) for block, eigs in blocks)
     assert np.concatenate([block.num for block, _ in blocks]).tolist() == res.samples.num.tolist()
     assert np.concatenate([eigs for _, eigs in blocks]).tobytes() == res.eigenvalues.tobytes()
     # nothing runs before the first block is drawn
     lazy = spectrum_blocks(expr, {}, m)
-    with pytest.raises(ValueError, match="environment is empty"):
+    with pytest.raises(EvaluationError, match="unbound identifiers 'L', 'R', 'S1', 'S2', 'S3', 'S4'$"):
         next(lazy)
 
 
@@ -438,9 +437,41 @@ def test_spectrum_reports_shape_mismatch_with_k():
 
 
 def test_spectrum_unbound_identifier():
+    # binding comes first: no symbol, sample or dense matrix is needed to
+    # report every name the environment lacks
+    expr, env, m = parse("Q*L + I(P)"), {"L": five_point()}, [[2, 0], [0, 2]]
+    message = "^unbound identifiers 'P', 'Q'$"
+    with pytest.raises(EvaluationError, match=message):
+        compute_spectrum(expr, env, m)
+    blocks = spectrum_blocks(expr, env, m)
+    with pytest.raises(EvaluationError, match=message):
+        next(blocks)
+    with pytest.raises(EvaluationError, match=message):
+        eval_dense(expr, env, m)
+    with pytest.raises(EvaluationError, match="^unbound identifier 'Q'$"):
+        compute_spectrum(parse("L*Q"), env, m)
+
+
+@pytest.mark.parametrize(
+    "m", [[[2.5, 0], [0, 2.9]], 3.7 * np.eye(2), [[np.nan, 0], [0, 1]], [[np.inf, 0], [0, 1]]]
+)
+def test_resolution_entries_without_integer_value_are_refused(m):
+    # truncating them would sample another torus than the one asked for
     l = five_point()
-    with pytest.raises(ValueError, match="unbound"):
-        compute_spectrum(parse("L*Q"), {"L": l}, [[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="integer values"):
+        compute_spectrum(parse("L"), {"L": l}, m)
+    with pytest.raises(ValueError, match="integer values"):
+        sample_dual_torus(l.lattice, m)
+    with pytest.raises(ValueError, match="integer values"):
+        assemble_dense(l, m)
+
+
+@pytest.mark.parametrize("m", [[[3.0, 0], [0, 3.0]], 3 * np.eye(2), 3 * np.eye(2, dtype=int)])
+def test_resolution_entries_of_integer_value_are_taken_exactly(m):
+    res = compute_spectrum(parse("L"), {"L": five_point()}, m)
+    assert len(res.samples) == 9
+    assert res.resolution == ((3, 0), (0, 3))
+    assert all(type(x) is int for row in res.resolution for x in row)
 
 
 def test_spectrum_mixed_lattices_get_compatibilized():

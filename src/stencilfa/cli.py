@@ -44,7 +44,7 @@ from .oracle import (
     translation_residual,
     wave_gram_residual,
 )
-from .symbol import BLOCK, SpectrumResult, compute_spectrum, eigenvalues, spectrum_blocks, symbol_at
+from .symbol import BLOCK, SpectrumResult, compute_spectrum, eigenvalues, spectrum_blocks, symbols
 
 EXIT_SCHEMA = 1
 EXIT_INCOMPATIBLE = 2
@@ -585,8 +585,12 @@ def _verify_checks(operators, resolution) -> list[tuple[str, float, float]]:
         if op.domain_se != op.codomain_se:
             continue
         dense = dense_spectrum(matrix)
-        symbols = np.array([symbol_at(op, num, samples.den) for num in samples.num.tolist()])
-        union = eigenvalues(symbols).ravel()
+        stack = symbols(op, samples.num, samples.den)
+        # one solve per distinct symbol (a central-only operator has one),
+        # keyed by its bytes so that -0.0 and 0.0 stay apart
+        first: dict[bytes, int] = {}
+        slots = np.array([first.setdefault(s.tobytes(), len(first)) for s in stack])
+        union = eigenvalues(stack[np.unique(slots, return_index=True)[1]])[slots].ravel()
         spectra.append(
             (f"symbol vs dense spectrum  {name}", spectrum_distance(union, dense), SPECTRUM_TOL)
         )

@@ -19,7 +19,11 @@ offset j is the exact residue (<num, j> mod den) / den, rounded to a float
 once by int true division, and one vectorized exp covers all offsets of an
 operator.  The sum over offsets runs in ``multipliers`` order, which is
 ascending offset order however the operator was built, on the operator's
-cached (n, rows, cols) multiplier stack.
+cached (n, rows, cols) multiplier stack.  symbols(l, num, den) gives the same
+bits for all rows of an (N, dim) numerator array from one int64 product (den
+needs dim * den**2 < 2**63, as every den up to SAMPLE_CAP has).  symbol_at
+keeps its own body: a one-row symbols call is slower, and spectra still take
+one symbol_at call per operator and sample, a count the benchmark pins.
 
 compute_spectrum binds the operators the expression names (Expression.bind),
 rewrites them on their coarsest common sublattice C, samples the dual torus
@@ -124,6 +128,28 @@ def symbol_at(l: MultiplicationOperator, num, den: int = 1) -> np.ndarray:
     # a strictly sequential running sum adds the terms in the same order as
     # a loop would; + 0.0 turns a leading -0.0 into the +0.0 of a sum from zero
     return np.cumsum(terms, axis=0)[-1] + 0.0
+
+
+def symbols(l: MultiplicationOperator, num, den: int) -> np.ndarray:
+    """The (N, rows, cols) symbols of l at the rows of the (N, dim) integer
+    array num over den, row i bit-identical to symbol_at(l, num[i], den).
+    A den with dim * den**2 >= 2**63 is a ValueError."""
+    num = np.asarray(num)
+    if num.ndim != 2 or num.shape[1] != l.dim:
+        raise ValueError(f"numerators of shape {num.shape}, operator has dimension {l.dim}")
+    if (den := index(den)) < 1 or l.dim * den**2 >= 2**63:
+        raise ValueError(f"denominator {den} is out of range for exact int64 phases")
+    offsets, stack = l._stack
+    if not offsets:
+        return np.zeros((len(num),) + l.shape, dtype=complex)
+    # reduced mod den in exact integers, the int64 product cannot wrap
+    off = np.array([[o % den for o in row] for row in offsets], dtype=np.int64)
+    turns = (num % den).astype(np.int64) @ off.T % den / den
+    phases = np.exp(2j * pi * turns)
+    # the (1, n, rows*cols) * (N, n, 1) layout runs the same multiply loop as
+    # symbol_at; other layouts can pick a SIMD loop that rounds differently
+    terms = stack.reshape(1, len(offsets), -1) * phases[:, :, None]
+    return (np.cumsum(terms, axis=1)[:, -1] + 0.0).reshape((-1,) + l.shape)
 
 
 _EPS = float(np.finfo(float).eps)

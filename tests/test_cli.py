@@ -15,11 +15,11 @@ import pytest
 from oracles import fraction_symbol_at, pair_eigenvalues
 from stencilfa import cli
 from stencilfa.cli import load_operator_file, main
-from stencilfa.crystal import k_frac_text
+from stencilfa.crystal import k_frac_text, sample_dual_torus
 from stencilfa.expr import parse
 from stencilfa.gallery import build, entry_names
 from stencilfa.oracle import assemble_dense, dense_spectrum
-from stencilfa.symbol import compute_spectrum, spectrum_blocks
+from stencilfa.symbol import compute_spectrum, eigenvalues, spectrum_blocks, symbols
 
 
 def run(capsys, *argv):
@@ -725,8 +725,8 @@ def test_verify_gallery_entries_pass(capsys):
 
 
 def test_verify_catches_a_wrong_symbol_route(capsys, monkeypatch):
-    right = cli.symbol_at
-    monkeypatch.setattr(cli, "symbol_at", lambda op, num, den: right(op, num, den) * (1 + 1e-6))
+    right = cli.symbols
+    monkeypatch.setattr(cli, "symbols", lambda op, num, den: right(op, num, den) * (1 + 1e-6))
     code, out, _ = run(capsys, "verify", "--example", "graphene", "--resolution", "4")
     assert code != 0
     status = {line[:44].rstrip(): line.split()[-1] for line in out.splitlines()}
@@ -759,6 +759,101 @@ def test_verify_lists_the_dual_torus_once(example, monkeypatch):
     monkeypatch.setattr("stencilfa.oracle.sample_dual_torus", spy)
     cli._verify_checks(build(example).operators, 10 * np.eye(2, dtype=int))
     assert listed == [100]
+
+
+def _square(operators):
+    return [name for name in sorted(operators)
+            if operators[name].domain_se == operators[name].codomain_se]
+
+
+@pytest.mark.parametrize("example", ["graphene", "curlcurl", "laplacian-rb"])
+def test_verify_takes_one_symbols_call_per_square_operator(example, monkeypatch):
+    operators = build(example).operators
+    called = []
+    batched = cli.symbols
+
+    def spy(op, num, den):
+        called.append(op)
+        return batched(op, num, den)
+
+    def per_sample(*args):
+        raise AssertionError("verify called symbol_at")
+
+    monkeypatch.setattr(cli, "symbols", spy)
+    monkeypatch.setattr("stencilfa.symbol.symbol_at", per_sample)
+    cli._verify_checks(operators, 10 * np.eye(2, dtype=int))
+    assert called == [operators[name] for name in _square(operators)]
+
+
+@pytest.mark.parametrize("example", ["graphene", "curlcurl", "laplacian-rb"])
+@pytest.mark.parametrize("resolution", [[[4, 0], [0, 4]], [[2, 3], [2, -2]]])
+def test_verify_union_is_every_symbols_eigenvalues(example, resolution, monkeypatch):
+    # solving each distinct symbol once and expanding back to listing order
+    # gives the eigenvalues of the whole stack, bit for bit
+    operators = build(example).operators
+    unions = []
+    distance = cli.spectrum_distance
+
+    def spy(union, dense):
+        unions.append(union)
+        return distance(union, dense)
+
+    monkeypatch.setattr(cli, "spectrum_distance", spy)
+    cli._verify_checks(operators, np.array(resolution))
+    names = _square(operators)
+    assert len(unions) == len(names)
+    for name, union in zip(names, unions):
+        op = operators[name]
+        samples = sample_dual_torus(op.lattice, np.array(resolution))
+        want = eigenvalues(symbols(op, samples.num, samples.den)).ravel()
+        assert union.dtype == want.dtype and union.tobytes() == want.tobytes(), name
+
+
+def test_verify_keeps_symbols_apart_that_differ_in_the_sign_of_a_zero(monkeypatch):
+    # symbols that are equal as numbers but not as bits are solved apart:
+    # their eigenvalues differ in the sign of a zero
+    signed = np.array([[[0.0, 0.0], [0.0, 1.0]], [[-0.0, 0.0], [0.0, 1.0]]], dtype=complex)
+    assert np.array_equal(signed[0], signed[1])
+    want = eigenvalues(signed)
+    assert want[0].tobytes() != want[1].tobytes()
+    unions = []
+    distance = cli.spectrum_distance
+
+    def spy(union, dense):
+        unions.append(union)
+        return distance(union, dense)
+
+    monkeypatch.setattr(cli, "symbols", lambda op, num, den: signed[np.arange(len(num)) % 2])
+    monkeypatch.setattr(cli, "spectrum_distance", spy)
+    operators = {"L": build("laplacian-rb").operators["L"]}
+    cli._verify_checks(operators, 2 * np.eye(2, dtype=int))
+    assert unions[0].tobytes() == want[np.arange(4) % 2].ravel().tobytes()
+
+
+def _with_central_copy_at(tmp_path, capsys, offset):
+    """laplacian-rb's L, as describe writes it, plus a copy of its central
+    multiplier at the given offset, as an operator file."""
+    path = tmp_path / f"L-{offset[0]}.json"
+    run(capsys, "describe", "--example", "laplacian-rb", "--format", "json", "--operator", "L",
+        "--output", str(path))
+    raw = json.loads(path.read_text())
+    multipliers = raw["operators"]["L"]["multipliers"]
+    central = next(m for m in multipliers if m["offset"] == [0, 0])
+    multipliers.append({"offset": offset, "matrix": central["matrix"]})
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_verify_offset_near_2_61_is_reduced_before_the_int64_product(tmp_path, capsys):
+    # 2**61 = 2 (mod 3): on the 3x3 torus the far offset is the offset (2, 0),
+    # so both files verify alike; an int64 product of the unreduced offset
+    # wraps, and its spectrum line reads about 6 and fails
+    far = _with_central_copy_at(tmp_path, capsys, [2**61, 0])
+    near = _with_central_copy_at(tmp_path, capsys, [2, 0])
+    code, out, err = run(capsys, "verify", "--input", str(far), "--resolution", "3")
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out and "symbol vs dense spectrum  L" in out
+    assert run(capsys, "verify", "--input", str(near), "--resolution", "3") == (code, out, err)
 
 
 def test_verify_rectangular_operators_only(tmp_path, capsys):

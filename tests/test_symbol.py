@@ -16,7 +16,7 @@ from oracles import (
     per_sample_spectrum,
     where_pinv_matrix,
 )
-from stencilfa.crystal import Lattice, StructureElement, sample_dual_torus
+from stencilfa.crystal import SAMPLE_CAP, Lattice, StructureElement, sample_dual_torus
 from stencilfa.expr import EvaluationError, parse
 from stencilfa.gallery import build
 from stencilfa.operator import (
@@ -36,6 +36,7 @@ from stencilfa.symbol import (
     pinv_matrix,
     spectrum_blocks,
     symbol_at,
+    symbols,
 )
 
 SQUARE = Lattice([[1, 0], [0, 1]])
@@ -131,6 +132,20 @@ def test_symbol_rejects_frequency_of_wrong_dimension():
         symbol_at(l, [1, 0, 2], 4)
 
 
+def _random_operator(rng, dim, shape, offsets):
+    """A rows x cols operator on Z^dim with a random complex multiplier at
+    each offset (the first dim entries of each list)."""
+    rows, cols = shape
+    table = {}
+    for off in offsets:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m[rng.random(size=shape) < 0.3] = 0  # zero entries make signed zeros
+        table[tuple(off[:dim])] = m
+    se_dom = StructureElement([(Fraction(j, cols),) * dim for j in range(cols)])
+    se_cod = StructureElement([(Fraction(i, rows),) * dim for i in range(rows)])
+    return MultiplicationOperator(Lattice(np.eye(dim)), se_dom, se_cod, table)
+
+
 _BIG = 10**30
 _THIRDS = [Fraction(1, 3), Fraction(2, 3), Fraction(0)]
 
@@ -148,15 +163,7 @@ _THIRDS = [Fraction(1, 3), Fraction(2, 3), Fraction(0)]
 @settings(max_examples=300, deadline=None)
 def test_symbol_matches_fraction_formula_bit_for_bit(seed, dim, shape, offsets, k, as_sample):
     rng = np.random.default_rng(seed)
-    rows, cols = shape
-    table = {}
-    for off in offsets:
-        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        m[rng.random(size=shape) < 0.3] = 0  # zero entries make signed zeros
-        table[tuple(off[:dim])] = m
-    se_dom = StructureElement([(Fraction(j, cols),) * dim for j in range(cols)])
-    se_cod = StructureElement([(Fraction(i, rows),) * dim for i in range(rows)])
-    l = MultiplicationOperator(Lattice(np.eye(dim)), se_dom, se_cod, table)
+    l = _random_operator(rng, dim, shape, offsets)
     k = k[:dim]
     if as_sample:
         # a common denominator of k, not always the least one
@@ -168,6 +175,62 @@ def test_symbol_matches_fraction_formula_bit_for_bit(seed, dim, shape, offsets, 
     assert _same_bits(got, fraction_symbol_at(l, *k))
     if not l.multipliers:
         assert _same_bits(got, np.zeros(shape, dtype=complex))
+
+
+_NEAR_2_61 = st.integers(2**61 - 60, 2**61 + 60) | st.integers(-(2**61) - 60, -(2**61) + 60)
+
+
+# A 1x1 multiplier at offset (0, 1) and k = (0, 1/25): the 4-D broadcast
+# stack * phases[..., None, None] gives real part 0x1.40a186ad07e88p-2 on an
+# X86_V4 (AVX-512) host, where symbol_at gives ...e87p-2.  The operand
+# layout decides whether numpy runs its SIMD complex multiply or its scalar
+# loop, and the two round differently.
+@example(seed=2, dim=2, shape=(1, 1), offsets=[[0, 1, 0]], den=25, first=[0, 1, 0], n=1)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    shape=st.sampled_from([(1, 1), (2, 2), (2, 3), (8, 8)]),
+    offsets=st.lists(st.lists(st.integers(-60, 60) | _NEAR_2_61, min_size=3, max_size=3), max_size=9),
+    den=st.integers(1, 60) | st.integers(1, SAMPLE_CAP),
+    first=st.lists(st.integers(-(2**62), 2**62), min_size=3, max_size=3),
+    n=st.sampled_from([1, 2, 64, 100]),
+)
+@settings(max_examples=150, deadline=None)
+def test_symbols_give_the_symbol_at_bits_row_by_row(seed, dim, shape, offsets, den, first, n):
+    rng = np.random.default_rng(seed)
+    l = _random_operator(rng, dim, shape, offsets)
+    # numerators outside [0, den) as well as inside
+    rest = rng.integers(-3 * den, 3 * den, size=(n - 1, dim)).tolist()
+    num = np.array([first[:dim]] + rest, dtype=np.int64)
+    got = symbols(l, num, den)
+    assert got.shape == (n,) + shape
+    for row, mat in zip(num.tolist(), got):
+        assert _same_bits(mat, symbol_at(l, row, den))
+        assert _same_bits(mat, fraction_symbol_at(l, row, den))
+
+
+def test_symbols_refuse_a_denominator_past_exact_int64_phases():
+    l = build("laplacian-rb").operators["L"]
+    num = np.array([[2**31 - 2, 2**31 - 3], [-1, 7]])
+    # dim * den**2 < 2**63 holds for den = 2**31 - 1 in two dimensions
+    got = symbols(l, num, 2**31 - 1)
+    for row, mat in zip(num.tolist(), got):
+        assert _same_bits(mat, symbol_at(l, row, 2**31 - 1))
+    # an int64 den is checked as a Python int: 2 * den**2 would wrap in int64
+    for den in (2**31, 2**40, np.int64(2**40), 0, -3):
+        with pytest.raises(ValueError, match=f"denominator {den} is out of range"):
+            symbols(l, num, den)
+    with pytest.raises(ValueError, match=r"numerators of shape \(1, 3\), operator has dimension 2"):
+        symbols(l, [[1, 0, 2]], 4)
+    with pytest.raises(ValueError, match=r"numerators of shape \(2,\), operator has dimension 2"):
+        symbols(l, [1, 0], 4)
+    # an offset past int64 and an int64 den are reduced as Python ints
+    far = MultiplicationOperator(SQUARE, POINT, POINT, {(2**70, 3): [[1.0]], (0, 1): [[2.0]]})
+    for row, mat in zip(num.tolist(), symbols(far, num, np.int64(12))):
+        assert _same_bits(mat, symbol_at(far, row, 12))
+    # an operator without multipliers has the zero symbol at every row
+    empty = MultiplicationOperator(SQUARE, POINT, POINT, {})
+    assert _same_bits(symbols(empty, num, 5), np.zeros((2, 1, 1), dtype=complex))
 
 
 # ----------------------------------------------------------------- pinv

@@ -274,7 +274,7 @@ def _operator_to_json(op: MultiplicationOperator) -> dict:
     }
 
 
-def bundle_to_json(entry: GalleryEntry) -> dict:
+def entry_to_json(entry: GalleryEntry) -> dict:
     """The operator-file form of an entry; ``load_operator_file`` reads it back."""
     operators = entry.operators
     payload: dict = {
@@ -557,7 +557,7 @@ def cmd_describe(args) -> int:
             raise SchemaError(f"unknown operator '{args.operator}' (has: {known})")
         entry = replace(entry, operators={args.operator: entry.operators[args.operator]})
     if args.format == "json":
-        text = json.dumps(bundle_to_json(entry), indent=2) + "\n"
+        text = json.dumps(entry_to_json(entry), indent=2) + "\n"
     else:
         text = _describe_text(entry)
     with _output(args.output) as out:

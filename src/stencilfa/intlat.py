@@ -248,14 +248,14 @@ def snf(a) -> SnfResult:
     return SnfResult(S=[[_simplify(Fraction(x, d)) for x in row] for row in b], U=u, V=v)
 
 
-def rational_reconstruct(x, max_denominator: int = 3000, tol: float = 1e-12) -> Matrix:
+def rational_reconstruct(x) -> Matrix:
     """Reconstruct exact rationals from a float matrix, entry by entry.
 
-    Each entry f is replaced by the best rational approximation p/q with q
-    bounded by ``max_denominator`` (continued-fraction expansion as done by
+    Each entry f is replaced by the best rational approximation p/q with
+    q <= 3000 (continued-fraction expansion as done by
     ``Fraction.limit_denominator``).  A candidate is accepted only when it
-    sits within ``tol * max(1, |f|)`` AND within the unique-reconstruction
-    zone 1/(2*q*max_denominator).  Callers rely on the raised error to detect
+    sits within 1e-12 * max(1, |f|) AND within the unique-reconstruction
+    zone 1/(2*q*3000).  Callers rely on the raised error to detect
     incommensurable lattice pairs, so both are tight (q <= 10^6 within 1e-9
     passes about half of all floats); a relation that needs a larger q is
     reported as not rationally related.
@@ -264,12 +264,9 @@ def rational_reconstruct(x, max_denominator: int = 3000, tol: float = 1e-12) -> 
     for row in x:
         new_row: list[Entry] = []
         for val in row:
-            if isinstance(val, (int, Fraction)):
-                new_row.append(_simplify(Fraction(val)))
-                continue
             f = float(val)
-            approx = Fraction(f).limit_denominator(max_denominator)
-            gate = min(tol * max(1.0, abs(f)), 0.5 / (approx.denominator * max_denominator))
+            approx = Fraction(f).limit_denominator(3000)
+            gate = min(1e-12 * max(1.0, abs(f)), 0.5 / (approx.denominator * 3000))
             if abs(float(approx) - f) > gate:
                 raise ValueError("lattices not rationally related")
             new_row.append(_simplify(approx))

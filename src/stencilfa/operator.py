@@ -111,10 +111,6 @@ class MultiplicationOperator:
     def shape(self) -> tuple[int, int]:
         return (len(self.codomain_se), len(self.domain_se))
 
-    def offsets(self) -> list[tuple[int, ...]]:
-        """Offsets in ``multipliers`` order, which is plain lexicographic."""
-        return list(self.multipliers)
-
     def multiplier(self, off) -> np.ndarray:
         key = _int_vec(off)
         got = self.multipliers.get(key)

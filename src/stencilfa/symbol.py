@@ -13,8 +13,8 @@ under offset negation plus conjugation.
 Evaluating the phase from k_frac instead of the physical wave vector keeps
 rational frequencies exact up to the exponential itself: k_frac = 1/2 gives
 a turn of exactly 0.5 no matter how the lattice basis is conditioned.
-symbol_at(l, num, den) takes k_frac as a row of integer numerators over den,
-as a DualTorus holds it, and needs no Fraction arithmetic: the turn of
+symbol_at(l, num, den) takes k_frac only as a row of integer numerators over
+den, as a DualTorus holds it, and needs no Fraction arithmetic: the turn of
 offset j is the exact residue (<num, j> mod den) / den, rounded to a float
 once by int true division, and one vectorized exp covers all offsets of an
 operator.  The sum over offsets runs in ``multipliers`` order, which is
@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, pi
+from math import pi
 from operator import index, mul
 
 import numpy as np
@@ -107,17 +107,10 @@ class SpectrumResult:
         return SpectrumRecords(self.samples, self.eigenvalues)
 
 
-def symbol_at(l: MultiplicationOperator, num, den: int = 1) -> np.ndarray:
-    """The symbol matrix of l at the frequency k_frac = num/den.
-
-    num is a row of integer numerators over den, such as a row of
-    ``DualTorus.num`` as Python ints; with the default den it may hold any
-    exact rationals, such as a tuple of Fractions.
-    """
-    if den == 1:
-        # exact rationals over their least common denominator
-        den = lcm(*(f.denominator for f in num))
-        num = [f.numerator * (den // f.denominator) for f in num]
+def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
+    """The symbol matrix of l at the frequency k_frac = num/den, num a row of
+    integer numerators over den, such as a row of ``DualTorus.num`` as
+    Python ints."""
     if len(num) != l.dim:
         raise ValueError(f"frequency has dimension {len(num)}, operator has dimension {l.dim}")
     offsets, stack = l._stack
@@ -159,38 +152,28 @@ _EPS = float(np.finfo(float).eps)
 #: in exact arithmetic but materialize as rounding noise (for example the
 #: Galerkin coarse symbol of the graphene operator at a Dirac point, which
 #: accumulates ~1e-15 residue): their largest singular value is itself noise,
-#: so "below rank_tol * sigma_max" keeps it and the pseudo-inverse explodes
-#: to ~1e+15.  eps^(2/3) ~ 3.7e-11 sits far above accumulated rounding error
-#: of desk-scale symbol evaluations and far below every meaningful operator
-#: scale in the shipped analyses.  Pass zero_tol=0.0 to disable the floor for
-#: problems scaled differently.
+#: so "below the rank cut times sigma_max" keeps it and the pseudo-inverse
+#: explodes to ~1e+15.  eps^(2/3) ~ 3.7e-11 sits far above accumulated
+#: rounding error of desk-scale symbol evaluations and far below every
+#: meaningful operator scale in the shipped analyses.
 ZERO_MATRIX_TOL = _EPS ** (2.0 / 3.0)
 
 
-def pinv_matrix(
-    m: np.ndarray,
-    rank_tol: float | None = None,
-    zero_tol: float = ZERO_MATRIX_TOL,
-) -> np.ndarray:
+def pinv_matrix(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with an explicit singular-value cutoff.
 
-    Singular values not above rank_tol times the largest one are treated as
-    zero (default rank_tol: max(shape) * machine epsilon; a negative or NaN
-    rank_tol is a ValueError).  If the largest singular value itself does
-    not exceed zero_tol, the whole matrix is treated as zero and the zero
+    Singular values not above max(shape) * machine epsilon times the largest
+    one are treated as zero.  If the largest singular value itself does not
+    exceed ZERO_MATRIX_TOL, the whole matrix is treated as zero and the zero
     matrix of transposed shape is returned.
     """
-    if rank_tol is not None and not rank_tol >= 0:
-        raise ValueError(f"rank_tol must be a nonnegative number, got {rank_tol!r}")
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return m.T.copy()
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s[0] <= zero_tol:
+    if s[0] <= ZERO_MATRIX_TOL:
         return np.zeros_like(m.T)
-    if rank_tol is None:
-        rank_tol = max(m.shape) * _EPS
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rank_tol * s[0])
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > max(m.shape) * _EPS * s[0])
     return (vh.conj().T * inv) @ u.conj().T
 
 

@@ -3,6 +3,8 @@
 Nothing in here imports the package under test; every function recomputes its
 answer from first principles (minors, residue counting, characteristic
 polynomials) so the main library can be checked against an independent path.
+The one exception, ``symbol_at_rationals``, computes nothing of its own: it
+only adapts exact rational frequencies to the library's call form.
 """
 
 from __future__ import annotations
@@ -135,6 +137,16 @@ def fraction_symbol_at(l, num, den=1) -> np.ndarray:
         t = t - floor(t)
         mat = mat + m * np.exp(2j * pi * float(t))
     return mat
+
+
+def symbol_at_rationals(l, k) -> np.ndarray:
+    """The library's symbol_at at the exact rationals k (Fractions or ints),
+    put over their least common denominator."""
+    from stencilfa.symbol import symbol_at
+
+    k = [Fraction(f) for f in k]
+    den = lcm(*(f.denominator for f in k))
+    return symbol_at(l, [f.numerator * (den // f.denominator) for f in k], den)
 
 
 def k_fracs(samples) -> list[tuple[Fraction, ...]]:
@@ -321,18 +333,17 @@ def bfs_dense_spectrum(matrix) -> list[complex]:
     return eigs
 
 
-def where_pinv_matrix(m, rank_tol=None, zero_tol=float(np.finfo(float).eps) ** (2.0 / 3.0)):
+def where_pinv_matrix(m, zero_tol=float(np.finfo(float).eps) ** (2.0 / 3.0)):
     """The pseudo-inverse the two-np.where way: the SVD of m, the zero
     matrix when the largest singular value is at or below zero_tol, else
-    1/s for the singular values above rank_tol times the largest (default
-    max(shape) * eps) and 0 for the rest."""
+    1/s for the singular values above max(shape) * eps times the largest
+    and 0 for the rest."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return m.T.copy()
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= zero_tol:
         return np.zeros_like(m.T)
-    if rank_tol is None:
-        rank_tol = max(m.shape) * np.finfo(float).eps
+    rank_tol = max(m.shape) * np.finfo(float).eps
     inv = np.where(s > rank_tol * s[0], 1.0 / np.where(s == 0, 1.0, s), 0.0)
     return (vh.conj().T * inv) @ u.conj().T

@@ -110,6 +110,136 @@ def test_operator_file_loads_the_built_entry(tmp_path, capsys, example):
     assert spectra[0].rho == spectra[1].rho
 
 
+def test_describe_writes_complex_entries(tmp_path, capsys):
+    path = _hopping_file(tmp_path / "hopping.json", {(0, 0): 1j, (1, 0): 1 - 2j})
+    code, out, err = run(capsys, "describe", "--input", path)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[lines.index("  multiplier at offset (0, 0):") + 1] == "    [ 1i ]"
+    assert lines[lines.index("  multiplier at offset (1, 0):") + 1] == "    [ 1-2i ]"
+
+
+# ---------------------------------------------------------------------------
+# operator-file and flag errors
+
+
+_DROP = object()
+
+
+def _set(*path, value):
+    """A mutation of a loaded operator file: the entry at path set to value,
+    or deleted for _DROP."""
+    def mutate(raw):
+        *head, last = path
+        node = raw
+        for key in head:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        return raw
+    return mutate
+
+
+_L = ("operators", "L")
+_M0 = _L + ("multipliers", 0)
+
+# (id, file mutation or None, extra spectrum flags, start of the error text;
+# {path} stands for the file's path)
+SCHEMA_ERRORS = [
+    ("se-bool", _set(*_L, "domain_se", 0, 0, value=True), [],
+     "operators.L.domain_se[0]: expected an integer or a 'p/q' string, got True"),
+    ("se-float", _set(*_L, "domain_se", 1, 0, value=0.5), [],
+     "operators.L.domain_se[1]: expected an integer or a 'p/q' string, got 0.5"),
+    ("se-zero-denominator", _set(*_L, "domain_se", 1, 0, value="1/0"), [],
+     "operators.L.domain_se[1]: '1/0' is not a valid fraction"),
+    ("se-text", _set(*_L, "codomain_se", 1, 1, value="half"), [],
+     "operators.L.codomain_se[1]: 'half' is not a valid fraction"),
+    ("se-empty", _set(*_L, "codomain_se", value=[]), [],
+     "operators.L.codomain_se: expected a nonempty list of points"),
+    ("se-short-point", _set(*_L, "domain_se", 0, value=["0"]), [],
+     "operators.L.domain_se[0]: expected a list of 2 fractions"),
+    ("lattice-text", _set(*_L, "lattice", 0, 0, value="1"), [],
+     "operators.L.lattice: expected a number, got '1'"),
+    ("entry-bool", _set(*_M0, "matrix", 0, 0, value=True), [],
+     "operators.L.multipliers[0].matrix: expected a number, got True"),
+    ("entry-triple", _set(*_M0, "matrix", 0, 0, value=[1.0, 0.0, 0.0]), [],
+     "operators.L.multipliers[0].matrix: [re, im] pairs have exactly two entries"),
+    ("operator-unknown-key", _set(*_L, "colour", value="red"), [],
+     "operators.L: unknown keys ['colour']"),
+    ("operator-missing-key", _set(*_L, "lattice", value=_DROP), [],
+     "operators.L: missing keys ['lattice']"),
+    ("multiplier-unknown-key", _set(*_M0, "weight", value=1), [],
+     "operators.L.multipliers[0]: unknown keys ['weight']"),
+    ("multiplier-missing-key", _set(*_M0, "matrix", value=_DROP), [],
+     "operators.L.multipliers[0]: missing keys ['matrix']"),
+    ("operator-list", _set(*_L, value=[]), [], "operators.L: expected an object"),
+    ("lattice-shape", _set(*_L, "lattice", value=[[1.0, 0.0]]), [],
+     "operators.L.lattice: expected a 2x2 matrix"),
+    ("lattice-singular", _set(*_L, "lattice", value=[[1.0, 1.0], [1.0, 1.0]]), [],
+     "operators.L.lattice: lattice basis is singular"),
+    ("multipliers-object", _set(*_L, "multipliers", value={}), [],
+     "operators.L.multipliers: expected a list"),
+    ("multiplier-list", _set(*_M0, value=[]), [], "operators.L.multipliers[0]: expected an object"),
+    ("offset-fraction", _set(*_M0, "offset", value=[0.5, 0]), [],
+     "operators.L.multipliers[0].offset: expected 2 integers"),
+    ("offset-bool", _set(*_M0, "offset", value=[True, 0]), [],
+     "operators.L.multipliers[0].offset: expected 2 integers"),
+    ("matrix-shape", _set(*_M0, "matrix", value=[[[1.0, 0.0]]]), [],
+     "operators.L.multipliers[0].matrix: expected 2 rows of 2 entries"),
+    ("resolution-bool", _set("resolution", value=True), [],
+     "{path}: resolution: expected an integer or an integer matrix"),
+    ("resolution-zero", _set("resolution", value=0), [], "{path}: resolution: resolution 0 is singular"),
+    ("resolution-singular", _set("resolution", value=[[1, 2], [2, 4]]), [],
+     "{path}: resolution: resolution matrix is singular"),
+    ("resolution-shape", _set("resolution", value=[[1, 0]]), [],
+     "{path}: resolution: expected an integer or a 2x2 integer matrix"),
+    ("flag-json", None, ["--resolution", "[[1,0]"], "--resolution: '[[1,0]' is not a JSON matrix"),
+    ("flag-diagonal", None, ["--resolution", "1,2,3"], "--resolution: expected 2 diagonal entries"),
+    ("flag-text", None, ["--resolution", "abc"],
+     "--resolution: 'abc' is not an integer, 'a,b' diagonal, or JSON matrix"),
+    ("flag-zero", None, ["--resolution", "0"], "--resolution: resolution 0 is singular"),
+    ("not-json", lambda raw: "{", [], "{path}: not valid JSON"),
+    ("top-level-list", lambda raw: [raw], [], "{path}: top level must be an object"),
+    ("top-unknown-key", _set("version", value=1), [], "{path}: unknown keys ['version']"),
+    ("top-missing-key", _set("dim", value=_DROP), [], "{path}: missing keys ['dim']"),
+    ("dim-bool", _set("dim", value=True), [], "{path}: dim must be a positive integer"),
+    ("dim-zero", _set("dim", value=0), [], "{path}: dim must be a positive integer"),
+    ("operators-empty", _set("operators", value={}), [], "{path}: operators must be a nonempty object"),
+    ("operator-name-empty", lambda raw: {**raw, "operators": {"": raw["operators"]["L"]}}, [],
+     "{path}: operator names must be nonempty strings"),
+    ("expr-number", _set("expr", value=5), [], "{path}: expr must be a string"),
+    ("param-no-key", None, ["--param", "=1"], "--param expects key=value, got '=1'"),
+    ("param-text", None, ["--param", "h=abc"], "--param h: 'abc' is not a number"),
+    ("no-expression", _set("expr", value=_DROP), [],
+     "no expression given: pass --expr or define one in the file"),
+    ("no-resolution", _set("resolution", value=_DROP), [],
+     "no resolution given: pass --resolution or define one in the file"),
+    ("plot-without-output", None, ["--emit-plot", "{path}.gp"],
+     "--emit-plot needs --output, the script reads the written CSV"),
+    ("plot-with-json", None, ["--format", "json", "--output", "{path}.out", "--emit-plot", "{path}.gp"],
+     "--emit-plot only works with --format csv"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, flags, message", [case[1:] for case in SCHEMA_ERRORS], ids=[case[0] for case in SCHEMA_ERRORS]
+)
+def test_operator_file_and_flag_errors_are_one_line(tmp_path, capsys, mutate, flags, message):
+    path = tmp_path / "rb.json"
+    run(capsys, "describe", "--example", "laplacian-rb", "--format", "json", "--output", str(path))
+    if mutate is not None:
+        raw = mutate(json.loads(path.read_text()))
+        path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    flags = [flag.replace("{path}", str(path)) for flag in flags]
+    code, out, err = run(capsys, "spectrum", "--input", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message.replace("{path}", str(path)))
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["rb.json"]
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -249,6 +379,23 @@ def test_library_call_on_a_whole_entry_gives_the_cli_csv(capsys, name):
         argv += ["--resolution", "9"]
     result = compute_spectrum(parse(entry.expression), entry.operators, entry.resolution)
     assert run(capsys, *argv) == (0, csv_in_memory(result) + f"rho_max = {result.rho:.8f}\n", "")
+
+
+TWO_LATTICES = str(Path(__file__).parent / "data" / "two_lattices.json")
+
+
+def test_two_lattice_file_gives_the_library_csv_and_verifies(capsys):
+    # one scalar operator on diag(2,1) and on diag(1,2): spectrum runs on
+    # their lcm lattice, and verify checks each on its own
+    entry = load_operator_file(TWO_LATTICES)
+    result = compute_spectrum(parse(entry.expression), entry.operators, entry.resolution)
+    assert run(capsys, "spectrum", "--input", TWO_LATTICES) == (
+        0, csv_in_memory(result) + f"rho_max = {result.rho:.8f}\n", ""
+    )
+    code, out, err = run(capsys, "verify", "--input", TWO_LATTICES)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 6
+    assert all(line.endswith("pass") for line in out.splitlines())
 
 
 def test_failed_spectrum_leaves_no_output_file(tmp_path, capsys, monkeypatch):
@@ -722,6 +869,12 @@ def test_verify_gallery_entries_pass(capsys):
     code, out, _ = run(capsys, "verify", "--example", "graphene", "--resolution", "3")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_default_resolution_is_3(capsys):
+    default = run(capsys, "verify", "--example", "laplacian-rb")
+    assert default[0] == 0
+    assert default == run(capsys, "verify", "--example", "laplacian-rb", "--resolution", "3")
 
 
 def test_verify_catches_a_wrong_symbol_route(capsys, monkeypatch):

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stencilfa.crystal import Lattice, StructureElement
+from stencilfa.cli import load_operator_file
+from stencilfa.crystal import Lattice, StructureElement, lattice_equal, lcm_lattice
+from stencilfa.expr import parse
 from stencilfa.operator import (
     MultiplicationOperator,
     add,
@@ -20,6 +23,8 @@ from stencilfa.operator import (
     scale,
     triangular_splitting,
 )
+from stencilfa.oracle import eval_dense, spectrum_distance
+from stencilfa.symbol import compute_spectrum
 
 SQUARE = Lattice([[1, 0], [0, 1]])
 RB_COARSE = Lattice([[1, 1], [1, -1]])  # columns a1+a2, a1-a2
@@ -267,6 +272,38 @@ def test_make_compatible_rewrites_to_common_lattice():
     assert out[0] == expected
     assert out[1] == on_coarse
     assert np.allclose(out[0].lattice.basis, RB_COARSE.basis)
+
+
+TWO_LATTICES = Path(__file__).parent / "data" / "two_lattices.json"
+
+
+def test_make_compatible_takes_the_lcm_of_two_unnested_lattices():
+    # one scalar operator on Z^2 written on diag(2,1) and on diag(1,2):
+    # neither lattice contains the other, so the common one is their lcm
+    scalar = MultiplicationOperator(SQUARE, [(0, 0)], [(0, 0)], {
+        (0, 0): [[2.0]], (1, 0): [[-0.5]], (-1, 0): [[-0.5]], (0, 1): [[-0.5]], (0, -1): [[-0.5]],
+    })
+    l1 = lattice_coarsening(scalar, Lattice([[2, 0], [0, 1]]))
+    l2 = lattice_coarsening(scalar, Lattice([[1, 0], [0, 2]]))
+    half = Fraction(1, 2)
+    assert l1.domain_se == StructureElement([(0, 0), (half, 0)])
+    assert l2.domain_se == StructureElement([(0, 0), (0, half)])
+    # the operator file that CI and the CLI tests read holds these two
+    assert load_operator_file(str(TWO_LATTICES)).operators == {"L1": l1, "L2": l2}
+    c1, c2 = make_compatible([l1, l2])
+    lcm = lcm_lattice(l1.lattice, l2.lattice)
+    for c in (c1, c2):
+        assert lattice_equal(c.lattice, lcm)
+        assert not lattice_equal(c.lattice, l1.lattice)
+        assert not lattice_equal(c.lattice, l2.lattice)
+    assert c1.domain_se == c2.domain_se
+    assert c1.codomain_se == c2.codomain_se
+    expr, env = parse("L1*L2 + L2*L1 - 0.5*L1"), {"L1": l1, "L2": l2}
+    for m in ([[3, 0], [0, 3]], [[2, 3], [2, -2]]):
+        result = compute_spectrum(expr, env, m)
+        dense = np.linalg.eigvals(eval_dense(expr, env, m))
+        assert abs(result.rho - 30.0) < 1e-12
+        assert spectrum_distance(result.eigenvalues.ravel(), dense) < 1e-12
 
 
 small_complex = st.builds(

@@ -27,7 +27,8 @@ algebra works on any mapping from names to complex matrices (symbol matrices
 or dense torus matrices) and supports pinv; Expression.eval_matrices uses it.
 It also takes (N, rows, cols) stacks, so one walk evaluates a whole block of
 frequency samples: products, sums and adjoints act on the stack at once, and
-pinv calls pinv_matrix once per matrix of the stack.
+pinv calls pinv_matrix once per matrix of the stack, which runs an SVD only
+for a matrix it has not kept the pseudo-inverse of.
 The operator algebra builds an actual multiplication operator out of the
 calculus in the operator module; pseudo-inverses have no position-space
 counterpart, so eval_position rejects any expression that contains one.
@@ -412,8 +413,9 @@ class _Matrices:
         return a.conj().swapaxes(-1, -2)
 
     def pinv(self, a):
-        # one pinv_matrix call per matrix of a stack, looked up at call time
-        # so that a rebinding of the module global is seen
+        # one pinv_matrix call per matrix of a stack (repeated matrices are
+        # served from pinv_matrix's memo), looked up at call time so that a
+        # rebinding of the module global is seen
         out = np.empty(a.shape[:-2] + (a.shape[-1], a.shape[-2]), dtype=complex)
         for i in np.ndindex(a.shape[:-2]):
             out[i] = pinv_matrix(a[i])

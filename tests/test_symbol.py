@@ -1,7 +1,9 @@
 """Symbol evaluation, pseudo-inverse, and spectrum sampling tests."""
 
+import sys
+import threading
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from oracles import (
     symbol_at_rationals,
     where_pinv_matrix,
 )
+from stencilfa import symbol
 from stencilfa.crystal import SAMPLE_CAP, Lattice, StructureElement, sample_dual_torus
 from stencilfa.expr import EvaluationError, parse
 from stencilfa.gallery import build
@@ -238,6 +241,13 @@ def test_symbols_refuse_a_denominator_past_exact_int64_phases():
 # ----------------------------------------------------------------- pinv
 
 
+@pytest.fixture
+def cold_memo():
+    symbol._memo.clear()
+    yield symbol._memo
+    symbol._memo.clear()
+
+
 def test_pinv_of_invertible_is_inverse():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) + 3 * np.eye(2)
@@ -267,12 +277,18 @@ def test_pinv_rank_tolerance_override():
     assert abs(pinv_matrix(m)[1, 1] - 1e9) < 1.0
 
 
-def test_pinv_noise_level_matrix_is_zero():
+def test_pinv_noise_level_matrix_is_zero(cold_memo):
     # a matrix that is zero in exact arithmetic but carries rounding residue
-    # must not be inverted into garbage; the absolute floor catches it
+    # must not be inverted into garbage; the absolute floor catches it, on
+    # the first call and on a memo hit alike
     rng = np.random.default_rng(0)
     noise = 1e-15 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    assert np.array_equal(pinv_matrix(noise), np.zeros((2, 2)))
+    for _ in range(2):
+        p = pinv_matrix(noise)
+        assert _same_bits(p, np.zeros((2, 2), dtype=complex))
+        # a hit keeps the memory layout of a new SVD's result
+        assert p.strides == where_pinv_matrix(noise).strides
+    assert len(cold_memo) == 1
     # without the floor the raw relative cutoff inverts the noise
     assert np.abs(where_pinv_matrix(noise, zero_tol=0.0)).max() > 1e12
 
@@ -316,7 +332,139 @@ def test_pinv_matrix_equals_two_where_form_bit_for_bit(seed, rows, cols, spectru
     q1 = np.linalg.qr(rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows)))[0]
     q2 = np.linalg.qr(rng.normal(size=(cols, cols)) + 1j * rng.normal(size=(cols, cols)))[0]
     m = scale * (q1[:, :k] * np.array(spectrum[:k])) @ q2[:k, :]
+    want = where_pinv_matrix(m)
+    # a cold call runs the SVD, the second is a memo hit (or a bypass)
+    symbol._memo.clear()
+    assert _same_bits(pinv_matrix(m), want)
+    assert _same_bits(pinv_matrix(m), want)
+
+
+# ------------------------------------------------------------ pinv memo
+
+
+def test_pinv_memo_keeps_signed_zeros_apart(cold_memo):
+    # the two inputs are equal as numbers, yet their SVDs round differently:
+    # a memo keyed on values would hand one the other's pseudo-inverse
+    pos = np.array([[2j, 2j], [-2 - 2j, -2 + 1j]])
+    neg = pos.copy()
+    neg[0, 0] = complex(-0.0, 2.0)
+    assert np.array_equal(pos, neg) and pos.tobytes() != neg.tobytes()
+    assert where_pinv_matrix(pos).tobytes() != where_pinv_matrix(neg).tobytes()
+    for m in (pos, neg, pos, neg):
+        assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
+    assert len(cold_memo) == 2
+
+
+def test_pinv_memo_keeps_shapes_with_the_same_bytes_apart(cold_memo):
+    values = np.array([1.0, 2j, 3.0, -1.0, 0.5, 4.0])
+    for shape in ((2, 3), (3, 2), (1, 6), (6, 1), (2, 3)):
+        m = values.reshape(shape)
+        assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
+    assert len(cold_memo) == 4
+
+
+def test_pinv_memo_fortran_view_and_its_c_copy_share_one_entry(cold_memo):
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    view = base.T
+    copy = np.ascontiguousarray(view)
+    assert view.flags.f_contiguous and not view.flags.c_contiguous
+    from_view = pinv_matrix(view)
+    hit = pinv_matrix(copy)
+    assert len(cold_memo) == 1
+    cold_memo.clear()
+    cold = pinv_matrix(copy)
+    assert _same_bits(from_view, cold) and _same_bits(hit, cold)
+    assert _same_bits(cold, where_pinv_matrix(copy))
+
+
+def test_pinv_memo_hands_out_copies(cold_memo):
+    m = np.array([[2.0, 1.0], [0.5, 4.0]], dtype=complex)
+    want = where_pinv_matrix(m)
+    first = pinv_matrix(m)
+    first[...] = 7.0
+    second = pinv_matrix(m)
+    assert _same_bits(second, want)
+    second[0, 0] = -1.0
+    # the key is a copy of the input's bytes, so a changed input is a new one
+    m[0, 0] = 3.0
     assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
+    m[0, 0] = 2.0
+    assert _same_bits(pinv_matrix(m), want)
+    assert len(cold_memo) == 2
+
+
+def test_pinv_memo_stays_within_its_bound(cold_memo):
+    count = 3 * symbol._MEMO_ENTRIES
+    for i in range(count):
+        pinv_matrix(np.array([[i + 1.0]]))
+        assert len(cold_memo) <= symbol._MEMO_ENTRIES
+    assert len(cold_memo) == symbol._MEMO_ENTRIES
+    # least recently used goes first: a refreshed old entry outlives newer ones
+    oldest_kept = count - symbol._MEMO_ENTRIES + 1.0
+    pinv_matrix(np.array([[oldest_kept]]))
+    pinv_matrix(np.array([[count + 1.0]]))
+    keys = {np.frombuffer(k[1], dtype=complex)[0].real for k in cold_memo}
+    assert oldest_kept in keys and oldest_kept + 1 not in keys and count + 1.0 in keys
+
+
+def test_pinv_memo_gives_right_bits_under_threads(cold_memo):
+    # more inputs than the memo keeps, so hits, misses and evictions interleave
+    rng = np.random.default_rng(11)
+    pool = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            for _ in range(symbol._MEMO_ENTRIES + 64)]
+    want = [where_pinv_matrix(m).tobytes() for m in pool]
+    wrong = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).integers(0, len(pool), size=400)
+        wrong.extend(int(i) for i in order if pinv_matrix(pool[i]).tobytes() != want[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(cold_memo) <= symbol._MEMO_ENTRIES
+
+
+def test_pinv_memo_does_not_keep_large_matrices(cold_memo):
+    n = isqrt(symbol._MEMO_MATRIX_SIZE) + 1
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
+    assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
+    assert len(cold_memo) == 0
+
+
+@pytest.mark.parametrize(
+    "name, m, before",
+    [
+        ("graphene", [[9, 0], [0, 9]], ("graphene", [[9, 0], [0, 9]])),
+        ("graphene", [[9, 0], [0, 9]], ("laplacian-rb", [[8, 0], [0, 8]])),
+        ("laplacian-rb", [[8, 0], [0, 8]], ("laplacian-rb", [[8, 0], [0, 8]])),
+        ("laplacian-rb", [[8, 0], [0, 8]], ("graphene", [[3, 0], [0, 3]])),
+    ],
+)
+def test_spectrum_does_not_depend_on_what_filled_the_memo(cold_memo, name, m, before):
+    def spectrum(name, m):
+        entry = build(name)
+        return compute_spectrum(parse(entry.expression), entry.operators, m)
+
+    cold = spectrum(name, m)
+    cold_memo.clear()
+    spectrum(*before)
+    assert len(cold_memo) > 0
+    warm = spectrum(name, m)
+    assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
+    assert warm.rho.hex() == cold.rho.hex()
 
 
 # ------------------------------------------------------------- eigenvalues

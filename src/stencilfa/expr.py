@@ -413,9 +413,9 @@ class _Matrices:
         return a.conj().swapaxes(-1, -2)
 
     def pinv(self, a):
-        # one pinv_matrix call per matrix of a stack (repeated matrices are
-        # served from pinv_matrix's memo), looked up at call time so that a
-        # rebinding of the module global is seen
+        # one pinv_matrix call per matrix of a stack (repeats are served from
+        # pinv_matrix's lru_cache), looked up at call time so that a rebinding
+        # of the module global is seen
         out = np.empty(a.shape[:-2] + (a.shape[-1], a.shape[-2]), dtype=complex)
         for i in np.ndindex(a.shape[:-2]):
             out[i] = pinv_matrix(a[i])

@@ -37,19 +37,19 @@ are stacked to (B, rows, cols), the expression is walked once over the stacks
 one eigenvalues call covers the block, and one lexsort orders every row of
 its (B, n) eigenvalue array by (re, im).  Every step acts matrix by matrix,
 so the values are bit-identical to a per-sample loop.  pinv_matrix runs one
-SVD per distinct input: it keeps the results of its most recent small
-inputs, keyed on their bytes, and a repeat (a k-invariant block, or one that
-varies along one axis of the torus only) gets a copy of the kept result.  A
+SVD per distinct input: a functools.lru_cache keeps the results of its 256
+most recent small inputs, keyed on shape and bytes, and a repeat (a k-invariant
+block, or one varying along one torus axis) gets a copy of the kept result.  A
 SpectrumResult holds the samples and eigenvalues as arrays; a SpectrumRecord
 is built for a row only when ``records`` is read.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import pi
 from operator import index, mul
 
@@ -114,8 +114,9 @@ class SpectrumResult:
 
 def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     """The symbol matrix of l at the frequency k_frac = num/den, num a row of
-    integer numerators over den, such as a row of ``DualTorus.num`` as
-    Python ints."""
+    integer numerators over den, such as a row of ``DualTorus.num``, each
+    taken as a Python int (exact for numpy ints; a float is a TypeError)."""
+    num = list(map(index, num))
     if len(num) != l.dim:
         raise ValueError(f"frequency has dimension {len(num)}, operator has dimension {l.dim}")
     offsets, stack = l._stack
@@ -131,10 +132,12 @@ def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
 def symbols(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     """The (N, rows, cols) symbols of l at the rows of the (N, dim) integer
     array num over den, row i bit-identical to symbol_at(l, num[i], den).
-    A den with dim * den**2 >= 2**63 is a ValueError."""
+    A den with dim * den**2 >= 2**63 is a ValueError, a float num a TypeError."""
     num = np.asarray(num)
     if num.ndim != 2 or num.shape[1] != l.dim:
         raise ValueError(f"numerators of shape {num.shape}, operator has dimension {l.dim}")
+    if num.dtype.kind not in "iu":
+        num = np.frompyfunc(index, 1, 1)(num)
     if (den := index(den)) < 1 or l.dim * den**2 >= 2**63:
         raise ValueError(f"denominator {den} is out of range for exact int64 phases")
     offsets, stack = l._stack
@@ -164,14 +167,13 @@ _EPS = float(np.finfo(float).eps)
 ZERO_MATRIX_TOL = _EPS ** (2.0 / 3.0)
 
 
-#: The pseudo-inverses pinv_matrix keeps, least recently used dropped first,
-#: and the most entries a kept matrix may have.  A spectrum repeats most of its
-#: pinv inputs (graphene at res 41: 3,409 distinct in 15,129 calls), mostly
-#: close together in k_frac order, so a few hundred entries serve nearly all
-#: of them; larger matrices, such as dense torus matrices, are not kept.
+#: The pseudo-inverses pinv_matrix keeps in its lru_cache, and the most entries
+#: a kept matrix may have.  A spectrum repeats most of its pinv inputs
+#: (graphene at res 41: 3,409 distinct in 15,129 calls), mostly close together
+#: in k_frac order, so a few hundred entries serve nearly all of them; larger
+#: matrices, such as dense torus matrices, are not kept.
 _MEMO_ENTRIES = 256
 _MEMO_MATRIX_SIZE = 256
-_memo: OrderedDict = OrderedDict()
 
 
 def pinv_matrix(m: np.ndarray) -> np.ndarray:
@@ -182,28 +184,24 @@ def pinv_matrix(m: np.ndarray) -> np.ndarray:
     exceed ZERO_MATRIX_TOL, the whole matrix is treated as zero and the zero
     matrix of transposed shape is returned.
 
-    The result for an input of at most _MEMO_MATRIX_SIZE entries is kept,
-    keyed on the shape and the bytes of its values (so -0.0 and 0.0 are
-    different inputs), and a repeated input gets a copy of it: the same bits
-    as a new SVD, since the SVD does not depend on the input's memory layout.
+    The result for an input of at most _MEMO_MATRIX_SIZE entries is kept in
+    the lru_cache _memo_pinv, keyed on the shape and the bytes of its values
+    (so -0.0 and 0.0 differ), and a repeated input gets a copy of it: the same
+    bits as a new SVD, which does not depend on the input's memory layout.
     """
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return m.T.copy()
     if m.size > _MEMO_MATRIX_SIZE:
         return _svd_pinv(m)
-    key = (m.shape, m.tobytes())
-    # no lock: every entry is a finished result of its own key, so a race
-    # between threads can only repeat an SVD or drop an entry early, and each
-    # insert trims the memo back to its bound after it
-    out = _memo.pop(key, None)
-    if out is None:
-        out = _svd_pinv(m)
-    _memo[key] = out
-    while len(_memo) > _MEMO_ENTRIES:
-        _memo.popitem(last=False)
-    # order="K" keeps the layout a new SVD gives (the zero matrix is m.T's)
-    return out.copy(order="K")
+    # order="K" keeps the kept result's layout (the zero matrix is F-ordered)
+    return _memo_pinv(m.shape, m.tobytes()).copy(order="K")
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _memo_pinv(shape: tuple[int, ...], data: bytes) -> np.ndarray:
+    """_svd_pinv of the C-ordered complex matrix of this shape and these bytes."""
+    return _svd_pinv(np.ndarray(shape, complex, data))
 
 
 def _svd_pinv(m: np.ndarray) -> np.ndarray:

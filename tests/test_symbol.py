@@ -19,6 +19,7 @@ from oracles import (
     symbol_at_rationals,
     where_pinv_matrix,
 )
+from stencilfa import expr as expr_module
 from stencilfa import symbol
 from stencilfa.crystal import SAMPLE_CAP, Lattice, StructureElement, sample_dual_torus
 from stencilfa.expr import EvaluationError, parse
@@ -238,14 +239,52 @@ def test_symbols_refuse_a_denominator_past_exact_int64_phases():
     assert _same_bits(symbols(empty, num, 5), np.zeros((2, 1, 1), dtype=complex))
 
 
+def test_symbol_at_takes_numpy_integer_numerators_exactly():
+    # laplacian-rb's L with a copy of its central multiplier at (2**61, 0):
+    # an int64 numerator times that offset wraps unless taken as a Python int
+    l = build("laplacian-rb").operators["L"]
+    far = MultiplicationOperator(
+        l.lattice, l.domain_se, l.codomain_se, {**l.multipliers, (2**61, 0): l.multipliers[(0, 0)]}
+    )
+    samples = sample_dual_torus(far.lattice, [[10, 0], [0, 10]])
+    num, den = samples.num, samples.den
+    assert num.dtype == np.int64
+    for i in (37, 1, len(samples) - 1):
+        want = symbol_at(far, num[i].tolist(), den)
+        assert _same_bits(symbol_at(far, num[i], den), want)
+        assert _same_bits(symbols(far, num[i : i + 1], den)[0], want)
+
+
+def test_symbols_refuse_non_integer_numerators():
+    l = build("laplacian-rb").operators["L"]
+    for num in ([[0.5, 0.0]], [[1.0, 0.0]], [[1 + 0j, 0]], np.array([[1, 0.5]], dtype=object)):
+        with pytest.raises(TypeError):
+            symbols(l, np.asarray(num), 4)
+        with pytest.raises(TypeError):
+            symbol_at(l, np.asarray(num)[0], 4)
+    with pytest.raises(TypeError):
+        symbol_at(l, [0.5, 0.0], 4)
+
+
 # ----------------------------------------------------------------- pinv
 
 
 @pytest.fixture
 def cold_memo():
-    symbol._memo.clear()
-    yield symbol._memo
-    symbol._memo.clear()
+    symbol._memo_pinv.cache_clear()
+    yield symbol._memo_pinv
+    symbol._memo_pinv.cache_clear()
+
+
+def _kept(memo) -> int:
+    return memo.cache_info().currsize
+
+
+def _is_hit(memo, m) -> bool:
+    """Whether pinv_matrix(m) is served from the memo (a miss adds m to it)."""
+    hits = memo.cache_info().hits
+    pinv_matrix(m)
+    return memo.cache_info().hits == hits + 1
 
 
 def test_pinv_of_invertible_is_inverse():
@@ -288,7 +327,7 @@ def test_pinv_noise_level_matrix_is_zero(cold_memo):
         assert _same_bits(p, np.zeros((2, 2), dtype=complex))
         # a hit keeps the memory layout of a new SVD's result
         assert p.strides == where_pinv_matrix(noise).strides
-    assert len(cold_memo) == 1
+    assert _kept(cold_memo) == 1
     # without the floor the raw relative cutoff inverts the noise
     assert np.abs(where_pinv_matrix(noise, zero_tol=0.0)).max() > 1e12
 
@@ -334,7 +373,7 @@ def test_pinv_matrix_equals_two_where_form_bit_for_bit(seed, rows, cols, spectru
     m = scale * (q1[:, :k] * np.array(spectrum[:k])) @ q2[:k, :]
     want = where_pinv_matrix(m)
     # a cold call runs the SVD, the second is a memo hit (or a bypass)
-    symbol._memo.clear()
+    symbol._memo_pinv.cache_clear()
     assert _same_bits(pinv_matrix(m), want)
     assert _same_bits(pinv_matrix(m), want)
 
@@ -352,7 +391,7 @@ def test_pinv_memo_keeps_signed_zeros_apart(cold_memo):
     assert where_pinv_matrix(pos).tobytes() != where_pinv_matrix(neg).tobytes()
     for m in (pos, neg, pos, neg):
         assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
-    assert len(cold_memo) == 2
+    assert _kept(cold_memo) == 2
 
 
 def test_pinv_memo_keeps_shapes_with_the_same_bytes_apart(cold_memo):
@@ -360,7 +399,7 @@ def test_pinv_memo_keeps_shapes_with_the_same_bytes_apart(cold_memo):
     for shape in ((2, 3), (3, 2), (1, 6), (6, 1), (2, 3)):
         m = values.reshape(shape)
         assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
-    assert len(cold_memo) == 4
+    assert _kept(cold_memo) == 4
 
 
 def test_pinv_memo_fortran_view_and_its_c_copy_share_one_entry(cold_memo):
@@ -371,8 +410,8 @@ def test_pinv_memo_fortran_view_and_its_c_copy_share_one_entry(cold_memo):
     assert view.flags.f_contiguous and not view.flags.c_contiguous
     from_view = pinv_matrix(view)
     hit = pinv_matrix(copy)
-    assert len(cold_memo) == 1
-    cold_memo.clear()
+    assert _kept(cold_memo) == 1
+    cold_memo.cache_clear()
     cold = pinv_matrix(copy)
     assert _same_bits(from_view, cold) and _same_bits(hit, cold)
     assert _same_bits(cold, where_pinv_matrix(copy))
@@ -391,21 +430,22 @@ def test_pinv_memo_hands_out_copies(cold_memo):
     assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
     m[0, 0] = 2.0
     assert _same_bits(pinv_matrix(m), want)
-    assert len(cold_memo) == 2
+    assert _kept(cold_memo) == 2
 
 
 def test_pinv_memo_stays_within_its_bound(cold_memo):
     count = 3 * symbol._MEMO_ENTRIES
     for i in range(count):
         pinv_matrix(np.array([[i + 1.0]]))
-        assert len(cold_memo) <= symbol._MEMO_ENTRIES
-    assert len(cold_memo) == symbol._MEMO_ENTRIES
+        assert _kept(cold_memo) <= symbol._MEMO_ENTRIES
+    assert _kept(cold_memo) == symbol._MEMO_ENTRIES
     # least recently used goes first: a refreshed old entry outlives newer ones
     oldest_kept = count - symbol._MEMO_ENTRIES + 1.0
-    pinv_matrix(np.array([[oldest_kept]]))
-    pinv_matrix(np.array([[count + 1.0]]))
-    keys = {np.frombuffer(k[1], dtype=complex)[0].real for k in cold_memo}
-    assert oldest_kept in keys and oldest_kept + 1 not in keys and count + 1.0 in keys
+    assert _is_hit(cold_memo, np.array([[oldest_kept]]))
+    assert not _is_hit(cold_memo, np.array([[count + 1.0]]))
+    assert _is_hit(cold_memo, np.array([[count + 1.0]]))
+    assert _is_hit(cold_memo, np.array([[oldest_kept]]))
+    assert not _is_hit(cold_memo, np.array([[oldest_kept + 1]]))
 
 
 def test_pinv_memo_gives_right_bits_under_threads(cold_memo):
@@ -432,7 +472,7 @@ def test_pinv_memo_gives_right_bits_under_threads(cold_memo):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(cold_memo) <= symbol._MEMO_ENTRIES
+    assert _kept(cold_memo) <= symbol._MEMO_ENTRIES
 
 
 def test_pinv_memo_does_not_keep_large_matrices(cold_memo):
@@ -441,7 +481,7 @@ def test_pinv_memo_does_not_keep_large_matrices(cold_memo):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
     assert _same_bits(pinv_matrix(m), where_pinv_matrix(m))
-    assert len(cold_memo) == 0
+    assert _kept(cold_memo) == 0
 
 
 @pytest.mark.parametrize(
@@ -459,12 +499,29 @@ def test_spectrum_does_not_depend_on_what_filled_the_memo(cold_memo, name, m, be
         return compute_spectrum(parse(entry.expression), entry.operators, m)
 
     cold = spectrum(name, m)
-    cold_memo.clear()
+    cold_memo.cache_clear()
     spectrum(*before)
-    assert len(cold_memo) > 0
+    assert _kept(cold_memo) > 0
     warm = spectrum(name, m)
     assert warm.eigenvalues.tobytes() == cold.eigenvalues.tobytes()
     assert warm.rho.hex() == cold.rho.hex()
+
+
+@pytest.mark.parametrize("name, m", [("graphene", [[9, 0], [0, 9]]), ("laplacian-rb", [[8, 0], [0, 8]])])
+def test_spectrum_runs_one_svd_per_distinct_pinv_input(cold_memo, monkeypatch, name, m):
+    seen = set()
+
+    def counting(a):
+        a = np.asarray(a, dtype=complex)
+        assert 0 < a.size <= symbol._MEMO_MATRIX_SIZE
+        seen.add((a.shape, a.tobytes()))
+        return pinv_matrix(a)
+
+    monkeypatch.setattr(expr_module, "pinv_matrix", counting)
+    entry = build(name)
+    compute_spectrum(parse(entry.expression), entry.operators, m)
+    assert len(seen) > 1
+    assert cold_memo.cache_info().misses == len(seen)
 
 
 # ------------------------------------------------------------- eigenvalues

@@ -173,10 +173,8 @@ def _operator_from_json(raw, dim: int, where: str) -> MultiplicationOperator:
         multipliers[key] = [
             [_complex_entry(x, f"{spot}.matrix") for x in r] for r in matrix
         ]
-    try:
-        return MultiplicationOperator(lattice, domain, codomain, multipliers)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    # every check the constructor makes was made above, naming the field
+    return MultiplicationOperator(lattice, domain, codomain, multipliers)
 
 
 def _diagonal(diag) -> list[list[int]]:

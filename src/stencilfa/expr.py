@@ -39,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from math import prod
 
 import numpy as np
 
@@ -416,10 +417,9 @@ class _Matrices:
         # one pinv_matrix call per matrix of a stack (repeats are served from
         # pinv_matrix's lru_cache), looked up at call time so that a rebinding
         # of the module global is seen
-        out = np.empty(a.shape[:-2] + (a.shape[-1], a.shape[-2]), dtype=complex)
-        for i in np.ndindex(a.shape[:-2]):
-            out[i] = pinv_matrix(a[i])
-        return out
+        *stack, rows, cols = a.shape
+        out = [pinv_matrix(m) for m in a.reshape(prod(stack), rows, cols)]
+        return np.array(out, dtype=complex).reshape(*stack, cols, rows)
 
 
 class _Operators:

@@ -19,11 +19,14 @@ offset j is the exact residue (<num, j> mod den) / den, rounded to a float
 once by int true division, and one vectorized exp covers all offsets of an
 operator.  The sum over offsets runs in ``multipliers`` order, which is
 ascending offset order however the operator was built, on the operator's
-cached (n, rows, cols) multiplier stack.  symbols(l, num, den) gives the same
-bits for all rows of an (N, dim) numerator array from one int64 product (den
-needs dim * den**2 < 2**63, as every den up to SAMPLE_CAP has).  symbol_at
-keeps its own body: a one-row symbols call is slower, and spectra still take
-one symbol_at call per operator and sample, a count the benchmark pins.
+cached (n, rows, cols) multiplier stack, as the last row of the sequential
+np.add.accumulate (np.cumsum without its wrapper's cost; np.add.reduce sums
+pairwise along an innermost axis, as on a 1x1 operator, and changes the
+bits).  symbols(l, num, den) gives the same bits for all rows of an (N, dim)
+numerator array from one int64 product (den needs dim * den**2 < 2**63, as
+every den up to SAMPLE_CAP has).  symbol_at keeps its own body: a one-row
+symbols call is slower, and spectra still take one symbol_at call per
+operator and sample, a count the benchmark pins.
 
 compute_spectrum binds the operators the expression names (Expression.bind),
 rewrites them on their coarsest common sublattice C, samples the dual torus
@@ -117,6 +120,7 @@ def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     integer numerators over den, such as a row of ``DualTorus.num``, each
     taken as a Python int (exact for numpy ints; a float is a TypeError)."""
     num = list(map(index, num))
+    den = index(den)
     if len(num) != l.dim:
         raise ValueError(f"frequency has dimension {len(num)}, operator has dimension {l.dim}")
     offsets, stack = l._stack
@@ -126,7 +130,7 @@ def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     terms = stack * np.exp(2j * pi * turns)[:, None, None]
     # a strictly sequential running sum adds the terms in the same order as
     # a loop would; + 0.0 turns a leading -0.0 into the +0.0 of a sum from zero
-    return np.cumsum(terms, axis=0)[-1] + 0.0
+    return np.add.accumulate(terms)[-1] + 0.0
 
 
 def symbols(l: MultiplicationOperator, num, den: int) -> np.ndarray:
@@ -150,7 +154,7 @@ def symbols(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     # the (1, n, rows*cols) * (N, n, 1) layout runs the same multiply loop as
     # symbol_at; other layouts can pick a SIMD loop that rounds differently
     terms = stack.reshape(1, len(offsets), -1) * phases[:, :, None]
-    return (np.cumsum(terms, axis=1)[:, -1] + 0.0).reshape((-1,) + l.shape)
+    return (np.add.accumulate(terms, axis=1)[:, -1] + 0.0).reshape((-1,) + l.shape)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -207,12 +211,12 @@ def _memo_pinv(shape: tuple[int, ...], data: bytes) -> np.ndarray:
 def _svd_pinv(m: np.ndarray) -> np.ndarray:
     """pinv_matrix of a non-empty complex matrix from one SVD."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
+    # Python float comparisons and reciprocals: numpy's bits without its per-call cost
+    s = s.tolist()
     if s[0] <= ZERO_MATRIX_TOL:
         return np.zeros_like(m.T)
-    # Python float reciprocals of the kept singular values: the same bits as
-    # numpy's division, without its fixed cost
-    cut = max(m.shape) * _EPS * float(s[0])
-    inv = [1.0 / x if x > cut else 0.0 for x in s.tolist()]
+    cut = max(m.shape) * _EPS * s[0]
+    inv = [1.0 / x if x > cut else 0.0 for x in s]
     return (vh.conj().T * inv) @ u.conj().T
 
 
@@ -240,17 +244,15 @@ def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.nda
         nums = block.num.tolist()
         den = block.den
         env = {name: np.array([symbol_at(op, num, den) for num in nums]) for name, op in named.items()}
-        k_frac = "(" + ", ".join(k_frac_text(nums[0], den)) + ")"
         try:
             value = expr.eval_matrices(env)
         except ValueError as exc:
             # same type, so callers can still tell the expression's own errors apart
-            raise type(exc)(f"expression failed at k_frac={k_frac}: {exc}") from exc
+            k_frac = ", ".join(k_frac_text(nums[0], den))
+            raise type(exc)(f"expression failed at k_frac=({k_frac}): {exc}") from exc
         if value.shape[-2] != value.shape[-1]:
-            raise ValueError(
-                f"expression shape mismatch at k_frac={k_frac}: "
-                f"result is {value.shape[-2:]}"
-            )
+            k_frac = ", ".join(k_frac_text(nums[0], den))
+            raise ValueError(f"expression shape mismatch at k_frac=({k_frac}): result is {value.shape[-2:]}")
         # an expression of identities alone is one matrix for every sample
         value = np.broadcast_to(value, (len(block),) + value.shape[-2:])
         eigs = eigenvalues(value)

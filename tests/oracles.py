@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from math import floor, gcd, lcm, pi
+from operator import index
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,6 +138,21 @@ def fraction_symbol_at(l, num, den=1) -> np.ndarray:
         t = t - floor(t)
         mat = mat + m * np.exp(2j * pi * float(t))
     return mat
+
+
+def cumsum_symbol_at(l, num, den) -> np.ndarray:
+    """The symbol of l at num/den by the np.cumsum formula, the bits
+    symbol_at and symbols keep: exact integer turns (<num, j> mod den) / den,
+    one exp over all offsets, and the stacked terms summed one after another
+    in ``multipliers`` order, + 0.0.  np.add.reduce would not give these
+    bits: on a 1x1 operator it sums the terms pairwise."""
+    num, den = [index(x) for x in num], index(den)
+    offsets = list(l.multipliers)
+    if not offsets:
+        return np.zeros(l.shape, dtype=complex)
+    stack = np.array([l.multipliers[off] for off in offsets], dtype=complex)
+    turns = np.array([sum(o * x for o, x in zip(off, num)) % den / den for off in offsets])
+    return np.cumsum(stack * np.exp(2j * pi * turns)[:, None, None], axis=0)[-1] + 0.0
 
 
 def symbol_at_rationals(l, k) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     charpoly_eigenvalues,
+    cumsum_symbol_at,
     fraction_symbol_at,
     k_fracs,
     pair_eigenvalues,
@@ -137,14 +138,15 @@ def test_symbol_rejects_frequency_of_wrong_dimension():
         symbol_at(l, [1, 0, 2], 4)
 
 
-def _random_operator(rng, dim, shape, offsets):
+def _random_operator(rng, dim, shape, offsets, zero=0):
     """A rows x cols operator on Z^dim with a random complex multiplier at
-    each offset (the first dim entries of each list)."""
+    each offset (the first dim entries of each list), about 30% of whose
+    entries are ``zero``."""
     rows, cols = shape
     table = {}
     for off in offsets:
         m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        m[rng.random(size=shape) < 0.3] = 0  # zero entries make signed zeros
+        m[rng.random(size=shape) < 0.3] = zero  # zero entries make signed zeros
         table[tuple(off[:dim])] = m
     se_dom = StructureElement([(Fraction(j, cols),) * dim for j in range(cols)])
     se_cod = StructureElement([(Fraction(i, rows),) * dim for i in range(rows)])
@@ -191,7 +193,16 @@ _NEAR_2_61 = st.integers(2**61 - 60, 2**61 + 60) | st.integers(-(2**61) - 60, -(
 # X86_V4 (AVX-512) host, where symbol_at gives ...e87p-2.  The operand
 # layout decides whether numpy runs its SIMD complex multiply or its scalar
 # loop, and the two round differently.
-@example(seed=2, dim=2, shape=(1, 1), offsets=[[0, 1, 0]], den=25, first=[0, 1, 0], n=1)
+@example(seed=2, dim=2, shape=(1, 1), offsets=[[0, 1, 0]], den=25, first=[0, 1, 0], n=1, neg_zero=False)
+# A 1x1 operator with five offsets: np.add.reduce sums its five terms
+# pairwise and misses the running sum's bits at k = (1/7, 2/7).
+@example(seed=4, dim=2, shape=(1, 1), offsets=[[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],
+         den=7, first=[1, 2, 0], n=1, neg_zero=False)
+# nine offsets, as graphene's R has after make_compatible
+@example(seed=0, dim=2, shape=(2, 8), offsets=[[i, j, 0] for i in (-1, 0, 1) for j in (-1, 0, 1)],
+         den=41, first=[3, 5, 0], n=2, neg_zero=False)
+# -0.0 multiplier entries, with an all-zero entry that sums to -0.0 before + 0.0
+@example(seed=1, dim=2, shape=(2, 2), offsets=[[0, 0, 0], [1, 0, 0]], den=5, first=[1, 3, 0], n=1, neg_zero=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(1, 3),
@@ -200,18 +211,21 @@ _NEAR_2_61 = st.integers(2**61 - 60, 2**61 + 60) | st.integers(-(2**61) - 60, -(
     den=st.integers(1, 60) | st.integers(1, SAMPLE_CAP),
     first=st.lists(st.integers(-(2**62), 2**62), min_size=3, max_size=3),
     n=st.sampled_from([1, 2, 64, 100]),
+    neg_zero=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_symbols_give_the_symbol_at_bits_row_by_row(seed, dim, shape, offsets, den, first, n):
+def test_symbols_give_the_symbol_at_bits_row_by_row(seed, dim, shape, offsets, den, first, n, neg_zero):
     rng = np.random.default_rng(seed)
-    l = _random_operator(rng, dim, shape, offsets)
+    l = _random_operator(rng, dim, shape, offsets, complex(-0.0, -0.0) if neg_zero else 0)
     # numerators outside [0, den) as well as inside
     rest = rng.integers(-3 * den, 3 * den, size=(n - 1, dim)).tolist()
     num = np.array([first[:dim]] + rest, dtype=np.int64)
     got = symbols(l, num, den)
     assert got.shape == (n,) + shape
     for row, mat in zip(num.tolist(), got):
-        assert _same_bits(mat, symbol_at(l, row, den))
+        want = cumsum_symbol_at(l, row, den)
+        assert _same_bits(symbol_at(l, row, den), want)
+        assert _same_bits(mat, want)
         assert _same_bits(mat, fraction_symbol_at(l, row, den))
 
 
@@ -253,6 +267,8 @@ def test_symbol_at_takes_numpy_integer_numerators_exactly():
         want = symbol_at(far, num[i].tolist(), den)
         assert _same_bits(symbol_at(far, num[i], den), want)
         assert _same_bits(symbols(far, num[i : i + 1], den)[0], want)
+    # an int64 den is taken as a Python int too, as symbols takes it
+    assert _same_bits(symbol_at(far, [30, 70], np.int64(10)), symbol_at(far, [30, 70], 10))
 
 
 def test_symbols_refuse_non_integer_numerators():

@@ -15,15 +15,16 @@ Torus representatives follow a fixed canonical listing: with H the Hermite
 normal form of the integer relation, the representative with counter i-1 has
 the mixed-radix digits of i-1 with respect to (H_11, ..., H_nn), the first
 basis direction varying fastest; ``QuotientMap.reps`` holds it as one
-read-only (p, n) int64 array.  Dual-torus samples come from that listing on
-the dual relation M^T; their coordinates are integer numerators over
-|det M|.  A sampled torus is a ``DualTorus`` of flat arrays with its rows in
-ascending numerator order, which is ascending k_frac order: sample i is row
-i of ``num`` over ``den``, with the wave vector ``k_phys[i]``, and
-``k_frac_text`` writes a row's fractions from integers alone.  Sampling
-refuses a torus of more than ``SAMPLE_CAP`` points before it lists anything;
-the dense oracle has a smaller cap of its own, and both raise
-``TorusTooLargeError``.
+read-only (p, n) int64 array, and ``QuotientMap.residue`` reduces any point
+to its row by one loop over diag(H), in int64 or in Python ints.  Dual-torus
+samples come from that listing on the dual relation M^T; their coordinates
+are integer numerators over |det M|.  A sampled torus is a ``DualTorus`` of
+flat arrays with its rows in ascending numerator order, which is ascending
+k_frac order: sample i is row i of ``num`` over ``den``, with the wave vector
+``k_phys[i]``, and ``k_frac_text`` writes a row's fractions from integers
+alone.  Sampling refuses a torus of more than ``SAMPLE_CAP`` points before
+it lists anything; the dense oracle has a smaller cap of its own, and both
+raise ``TorusTooLargeError``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, prod
-from operator import mul
 
 import numpy as np
 
@@ -196,14 +196,15 @@ class QuotientMap:
     """Exact residue arithmetic for Z^n / rel*Z^n, rel a nonsingular integer matrix.
 
     ``reps`` is the canonical listing of the |det rel| residue classes, a
-    read-only (|det rel|, n) int64 array built on first access;
-    ``locate`` decomposes any integer vector x as reps[k] + rel*z, and
-    ``indices`` gives the listing index of every row of an integer array.
+    read-only (|det rel|, n) int64 array built on first access.  ``residue``
+    reduces each row of an integer array to its class's row of ``reps`` and
+    ``indices`` gives each row's listing index, both through one loop that
+    runs in int64 on an int64 array (listings and points near the box) and
+    in Python ints on anything else (points of any size, such as offsets).
     """
 
     def __init__(self, rel):
-        res = hnf(rel)
-        self.h, self.u = res.H, res.U  # H = rel*U, U unimodular
+        self.h = hnf(rel).H  # H = rel*U for some unimodular U
         self.n = len(self.h)
         self.strides = tuple(prod(self.h[l][l] for l in range(axis)) for axis in range(self.n))
 
@@ -215,38 +216,20 @@ class QuotientMap:
         reps.setflags(write=False)
         return reps
 
-    def _reduce(self, x) -> tuple[tuple[int, ...], list[int]]:
-        # x = r + H*q with r inside the box [0, H_11) x ... x [0, H_nn)
-        r = list(x)
-        q = [0] * self.n
-        for col in range(self.n - 1, -1, -1):
-            q[col] = r[col] // self.h[col][col]
-            for row in range(col + 1):
-                r[row] -= q[col] * self.h[row][col]
-        return tuple(r), q
-
-    def residue(self, x) -> tuple[int, ...]:
-        return self._reduce(x)[0]
-
-    def locate(self, x) -> tuple[int, tuple[int, ...]]:
-        """Index k and integer z such that x = reps[k] + rel*z (z = U*q)."""
-        rep, q = self._reduce(x)
-        z = tuple(sum(u * c for u, c in zip(row, q)) for row in self.u)
-        return sum(map(mul, rep, self.strides)), z
-
-    def indices(self, points) -> np.ndarray:
-        """Listing index of each row of an (N, n) integer array, as int64.
-
-        Rows are reduced into the box like ``residue`` and read in the
-        mixed-radix strides of diag(H).  Residues lie below |det rel| and the
-        listing enumerates |det rel| points, so int64 is exact for points
-        near the box, such as a representative plus a residue.
-        """
-        h = np.array(self.h, dtype=np.int64)
-        r = np.array(points, dtype=np.int64)
+    def residue(self, points) -> np.ndarray:
+        """Each row x as x - H*q inside the box [0, H_11) x ... x [0, H_nn),
+        in the arithmetic above: int64 wraps outside its range, Python ints never."""
+        exact = getattr(points, "dtype", None) != np.int64
+        r = np.array(points, dtype=object if exact else np.int64).reshape(-1, self.n)
+        h = np.array(self.h, dtype=r.dtype)
         for col in range(self.n - 1, -1, -1):
             r[:, :col + 1] -= (r[:, col] // h[col, col])[:, None] * h[:col + 1, col]
-        return r @ np.array(self.strides, dtype=np.int64)
+        return r
+
+    def indices(self, points) -> np.ndarray:
+        """Listing index of each row, as int64: its residue read in the
+        mixed-radix strides of diag(H), below |det rel| whatever the row."""
+        return (self.residue(points) @ np.array(self.strides)).astype(np.int64, copy=False)
 
 
 def lcm_lattice(a: Lattice, b: Lattice) -> Lattice:

@@ -46,7 +46,7 @@ from .crystal import (
     lattice_equal,
     lcm_lattice,
 )
-from .intlat import mat_inv
+from .intlat import mat_inv, scaled_integer
 
 
 def _int_vec(v) -> tuple[int, ...]:
@@ -259,25 +259,31 @@ def lattice_coarsening(l: MultiplicationOperator, coarse: Lattice) -> Multiplica
     With quotient representatives tau_1..tau_p (canonical listing), the coarse
     structure elements interleave (tau_q + point) with the point index running
     fastest, and block (i, k) of the coarse multiplier at coarse offset z is
-    the fine multiplier at fine offset rel*z + tau_i - tau_k.
+    the fine multiplier at fine offset rel*z + tau_i - tau_k.  Every offset
+    plus tau_i is reduced to its tau_k in one QuotientMap.residue call in
+    Python ints, so an offset of any size is exact, and z is rel^-1 times the
+    difference.
     """
     rel = integral_relation(l.lattice, coarse)
     qm = QuotientMap(rel)
     taus = qm.reps.tolist()
     p = len(taus)
+    to_coarse = mat_inv(rel)  # fine coordinates -> coarse coordinates
+    scaled, d = scaled_integer(to_coarse)  # d*rel^-1 is integral
 
+    # offset + tau_i for every offset (outer) and i, in Python ints
+    fine = (np.array(list(l.multipliers), dtype=object).reshape(-1, 1, l.dim) + taus).reshape(-1, l.dim)
+    residues = qm.residue(fine)
+    zs = map(tuple, ((fine - residues) @ np.array(scaled, dtype=object).T // d).tolist())
+    mats = list(l.multipliers.values())
     m_cod, m_dom = l.shape
     acc: dict[tuple[int, ...], np.ndarray] = {}
-    for off, mat in l.multipliers.items():
-        for i, ti in enumerate(taus):
-            x = tuple(o + t for o, t in zip(off, ti))
-            k, z = qm.locate(x)
-            blk = acc.get(z)
-            if blk is None:
-                blk = acc[z] = np.zeros((p * m_cod, p * m_dom), dtype=complex)
-            blk[i * m_cod:(i + 1) * m_cod, k * m_dom:(k + 1) * m_dom] = mat
-
-    to_coarse = mat_inv(rel)  # fine coordinates -> coarse coordinates
+    for row, (k, z) in enumerate(zip(qm.indices(residues).tolist(), zs)):
+        j, i = divmod(row, p)
+        blk = acc.get(z)
+        if blk is None:
+            blk = acc[z] = np.zeros((p * m_cod, p * m_dom), dtype=complex)
+        blk[i * m_cod:(i + 1) * m_cod, k * m_dom:(k + 1) * m_dom] = mats[j]
 
     def block_points(se: StructureElement):
         pts = []

@@ -10,11 +10,12 @@ to build it.
 
 The matrix is kept as its nonzero triples (TorusTriples: rows, cols and
 values in row-major order), so only a connected block is ever held dense;
-``dense()`` gives the whole matrix when a caller wants it.  Assembly merges
-offsets with one torus residue (they land on the same blocks at every
-point) and maps all torus points along each with one QuotientMap.indices
-call.  translation_residual takes the commutator norm over the nonzeros of
-the matrix and of its translate, found by sorted-key lookup.
+``dense()`` gives the whole matrix when a caller wants it.  Assembly reduces
+all offsets in one exact QuotientMap.residue call, merges offsets with one
+residue (they land on the same blocks at every point) and maps all torus
+points along each with one QuotientMap.indices call.  translation_residual
+takes the commutator norm over the nonzeros of the matrix and of its
+translate, found by sorted-key lookup.
 dense_spectrum splits the matrix into the connected components of its
 symmetrized nonzero pattern, scatters each component's triples into a
 dense block and solves each block with the narrowest exact LAPACK driver:
@@ -102,9 +103,8 @@ def assemble_dense(l: MultiplicationOperator, m) -> TorusTriples:
     n_pts = len(reps)
     mc, md = l.shape
     merged: dict[tuple[int, ...], np.ndarray] = {}
-    for off, mat in l.multipliers.items():
-        # residue reduces the offset in Python ints, so any offset is exact
-        r = qm.residue(off)
+    # the offsets are reduced in Python ints, so any offset is exact
+    for r, mat in zip(map(tuple, qm.residue(list(l.multipliers)).tolist()), l.multipliers.values()):
         if r not in merged:
             merged[r] = np.zeros((mc, md), dtype=complex)
         merged[r] += mat

@@ -295,7 +295,7 @@ def per_point_assemble_dense(l, qm) -> np.ndarray:
     for i, rep in enumerate(reps):
         for off, mat in l.multipliers.items():
             x = tuple(r + o for r, o in zip(rep, off))
-            j = reps.index(qm.residue(x))
+            j = reps.index(tuple(qm.residue([x])[0]))
             out[i * mc:(i + 1) * mc, j * md:(j + 1) * md] += mat
     return out
 

@@ -326,7 +326,8 @@ def test_quotient_map_indices_match_the_listing(case):
     got = qm.indices(np.array(points))
     assert got.dtype == np.int64
     reps = [tuple(rep) for rep in qm.reps.tolist()]
-    assert got.tolist() == [reps.index(qm.residue(p)) for p in points]
+    exact = qm.residue(np.array(points, dtype=object)).tolist()
+    assert got.tolist() == [reps.index(tuple(r)) for r in exact]
 
 
 def quotient_cases(n, lo, hi):
@@ -337,21 +338,61 @@ def quotient_cases(n, lo, hi):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(quotient_cases(2, -5, 5), quotient_cases(3, -3, 3)))
-def test_quotient_map_locate_residue_and_listing(case):
+def test_quotient_map_residue_and_listing(case):
     rel, xs = case
     qm = QuotientMap(rel)
     det = abs(det_exact(rel))
     reps = [tuple(rep) for rep in qm.reps.tolist()]
     assert len(reps) == det
-    for x in xs:
-        k, z = qm.locate(x)
-        back = [r + sum(a * b for a, b in zip(row, z)) for r, row in zip(reps[k], rel)]
+    inv = mat_inv(rel)
+    for x, r, k in zip(xs, qm.residue(np.array(xs)).tolist(), qm.indices(np.array(xs)).tolist()):
+        # x = reps[k] + rel*z for the exact solution z of rel*z = x - reps[k]
+        z = [sum(a * (b - c) for a, b, c in zip(row, x, reps[k])) for row in inv]
+        assert all(Fraction(v).denominator == 1 for v in z)
+        back = [c + sum(a * b for a, b in zip(row, z)) for c, row in zip(reps[k], rel)]
         assert back == x
-        assert qm.residue(x) == reps[k]
+        assert tuple(r) == reps[k]
     # x = y mod rel  iff  adj(rel)*(x - y) = 0 mod det, with adj(rel) = det*rel^-1
-    adj = [[int(v * det) for v in row] for row in mat_inv(rel)]
+    adj = [[int(v * det) for v in row] for row in inv]
     keys = {tuple(sum(a * b for a, b in zip(row, r)) % det for row in adj) for r in reps}
     assert len(keys) == det
+
+
+@st.composite
+def relations_near_and_beyond_int64(draw):
+    n = draw(st.integers(1, 3))
+    rel = draw(small_int_matrices(n, -4, 4))
+    near = st.lists(st.lists(st.integers(-(10**9), 10**9), min_size=n, max_size=n),
+                    min_size=1, max_size=8)
+    points = draw(near)
+    # lattice steps of at least 2^70 carry every point far beyond +-2^63,
+    # however rel shrinks them (its inverse has entries below 2^7)
+    big = st.integers(2**70, 2**80) | st.integers(-(2**80), -(2**70))
+    steps = draw(st.lists(st.lists(big, min_size=n, max_size=n), min_size=len(points),
+                          max_size=len(points)))
+    return rel, points, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(relations_near_and_beyond_int64())
+@example(([[1]], [[0]], [[2**63]]))
+@example(([[2, 3], [2, -2]], [[10**9, -(10**9)], [-7, 4]], [[2**63, -(2**63)], [-(2**80), 2**80]]))
+@example(([[3, 0, 0], [1, 2, 0], [0, 1, 4]], [[-(10**9), 7, 10**9]], [[2**79, 2**63, -(2**70)]]))
+def test_quotient_map_int64_and_exact_reductions_agree(case):
+    rel, points, steps = case
+    qm = QuotientMap(rel)
+    fast = qm.residue(np.array(points, dtype=np.int64))
+    exact = qm.residue(np.array(points, dtype=object))
+    assert fast.dtype == np.int64 and exact.dtype == object
+    assert fast.tolist() == exact.tolist()
+    # rel*step is in the sublattice: the same class, far outside int64
+    far = [[p + sum(a * b for a, b in zip(row, s)) for p, row in zip(point, rel)]
+           for point, s in zip(points, steps)]
+    assert any(abs(v) >= 2**63 for row in far for v in row)
+    assert qm.residue(far).tolist() == fast.tolist()
+    assert all(type(v) is int for row in qm.residue(far).tolist() for v in row)
+    assert qm.indices(far).tolist() == qm.indices(np.array(points)).tolist()
+    assert set(map(tuple, fast.tolist())) <= set(map(tuple, qm.reps.tolist()))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from stencilfa.cli import load_operator_file
 from stencilfa.crystal import Lattice, StructureElement, lattice_equal, lcm_lattice
 from stencilfa.expr import parse
+from stencilfa.gallery import build
 from stencilfa.operator import (
     MultiplicationOperator,
     add,
@@ -371,3 +372,25 @@ def test_coarsening_preserves_entry_mass(op):
     coarse_mass = sum(m.sum() for m in coarse.multipliers.values())
     assert abs(coarse_mass - 2 * fine_mass) < 1e-12
     assert coarse.shape == (2 * op.shape[0], 2 * op.shape[1])
+
+
+def test_offsets_beyond_int64_go_through_the_compatibility_rewrite():
+    # laplacian-rb's L with a copy of its central multiplier at (2**70, 0) or
+    # at (2**70 % 9, 0): the offsets differ by a multiple of 9, so on the
+    # res-3 torus of L's lattice, and of the lattice rb*diag(3, 1) that L is
+    # coarsened onto first (where the coarse offsets differ by a multiple of
+    # 3), both give the same phases and the same summation order
+    l = build("laplacian-rb").operators["L"]
+
+    def with_copy_at(offset):
+        return MultiplicationOperator(
+            l.lattice, l.domain_se, l.codomain_se, {**l.multipliers, offset: l.multipliers[(0, 0)]}
+        )
+
+    far, near = with_copy_at((2**70, 0)), with_copy_at((2**70 % 9, 0))
+    coarse = Lattice(l.lattice.basis @ np.array([[3.0, 0.0], [0.0, 1.0]]))
+    m = [[3, 0], [0, 3]]
+    for rewrite in (lambda op: op, lambda op: lattice_coarsening(op, coarse)):
+        got = compute_spectrum(parse("L"), {"L": rewrite(far)}, m).eigenvalues
+        want = compute_spectrum(parse("L"), {"L": rewrite(near)}, m).eigenvalues
+        assert got.tobytes() == want.tobytes()

@@ -543,7 +543,7 @@ def dense_permutation_residual(matrix, dim, m, shape):
     worst = 0.0
     for axis in range(dim):
         step = tuple(int(c == axis) for c in range(dim))
-        perm = [reps.index(qm.residue(tuple(r + s for r, s in zip(rep, step)))) for rep in reps]
+        perm = [reps.index(tuple(r)) for r in qm.residue(np.array(reps) + step).tolist()]
         t_dom = np.zeros((n_pts * md, n_pts * md))
         t_cod = np.zeros((n_pts * mc, n_pts * mc))
         for i, j in enumerate(perm):

@@ -5,8 +5,12 @@ graphene at 41 (the two-grid propagator, 9 pinv per sample), curlcurl at 64
 and laplacian-rb at 64 (the red-black propagator, in no perfbench workload).
 Every workload runs five times (REPEATS) in this process and the record keeps each
 run's seconds, the best and the median, and the rho of the last run, so a
-speed-up that changes an answer shows in the file.  BLAS runs on one thread
-unless the environment sets otherwise.
+speed-up that changes an answer shows in the file.  Before every run and
+after the last one, the calibration chunk of perfbench/workload.py (fixed
+work that calls no stencilfa code) is timed in the same process; runs_rel and
+median_rel are the seconds over the median chunk, so records written under
+different host loads compare the code.  BLAS runs on one thread unless the
+environment sets otherwise.
 
     python3 scripts/bench_spectrum.py --tag main
     python3 scripts/bench_spectrum.py --tag ci --size tiny --out-dir /tmp
@@ -23,12 +27,16 @@ import argparse
 import json
 import platform
 import statistics
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from stencilfa import build, compute_spectrum, parse
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workload import Calibration  # noqa: E402
 
 REPEATS = 5
 RESOLUTION = {
@@ -37,15 +45,19 @@ RESOLUTION = {
 }
 
 
-def bench(name: str, n: int) -> dict:
+def bench(name: str, n: int, cal: Calibration) -> dict:
     entry = build(name)
     expr = parse(entry.expression)
     m = n * np.eye(2, dtype=int)
     runs = []
+    cal.chunks.clear()
     for _ in range(REPEATS):
+        cal.chunk()
         start = time.perf_counter()
         result = compute_spectrum(expr, entry.operators, m)
         runs.append(time.perf_counter() - start)
+    cal.chunk()
+    chunk = statistics.median(cal.chunks)
     return {
         "name": name,
         "resolution": n,
@@ -54,6 +66,9 @@ def bench(name: str, n: int) -> dict:
         "runs_s": [round(t, 6) for t in runs],
         "best_s": round(min(runs), 6),
         "median_s": round(statistics.median(runs), 6),
+        "cal_median_s": round(chunk, 6),
+        "runs_rel": [round(t / chunk, 4) for t in runs],
+        "median_rel": round(statistics.median(runs) / chunk, 4),
         "rho": result.rho,
         "rho_hex": result.rho.hex(),
     }
@@ -76,11 +91,14 @@ def main() -> None:
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "workloads": [],
     }
+    cal = Calibration()
+    cal.chunk()  # first calls into LAPACK, outside the timed chunks
     for name, n in RESOLUTION[args.size].items():
-        row = bench(name, n)
+        row = bench(name, n, cal)
         record["workloads"].append(row)
         print(f"{name:13s} res {n:3d}  best {row['best_s']:.3f} s  "
-              f"median {row['median_s']:.3f} s  rho {row['rho']:.8f}")
+              f"median {row['median_s']:.3f} s  median_rel {row['median_rel']:.1f}  "
+              f"rho {row['rho']:.8f}")
     path = args.out_dir / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")

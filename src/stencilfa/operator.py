@@ -21,9 +21,9 @@ rely on):
   (tau_1+s_1, ..., tau_1+s_m, tau_2+s_1, ...); block (i, k) of the coarse
   multiplier at offset z equals the fine multiplier at z + tau_i - tau_k
   (everything written in fine-lattice coordinates).
-* Changing structure elements matches old points to new ones through exact
-  integral coordinate differences; with duplicated points the lowest-index
-  unused candidate wins, so the matching is deterministic.
+* Changing structure elements matches each old point to the lowest-index
+  unused new point of its class mod Z^n (the point reduced into [0,1)^n), so
+  the matching is deterministic; its work grows with the points and nonzeros.
 * Normal form: structure elements reduced into [0,1)^n by exact rational
   floor and sorted lexicographically (ties keep the original order).
 """
@@ -185,29 +185,30 @@ def adjoint(l: MultiplicationOperator) -> MultiplicationOperator:
     return MultiplicationOperator(l.lattice, l.codomain_se, l.domain_se, out)
 
 
+def _fractional(p) -> tuple[tuple[int, int], ...]:
+    """The point reduced into [0,1)^n, as lowest-terms (numerator, denominator)
+    pairs: equal exactly when two points are congruent mod Z^n."""
+    return tuple((x.numerator % x.denominator, x.denominator) for x in p)
+
+
 def _match_congruent(old_pts, new_pts):
-    """Match each old point to an unused new point differing by an integer vector.
+    """Match each old point to the first unused new point of its class mod Z^n.
 
     Returns a list of (new_index, shift) pairs indexed by old position, where
-    shift = old_point - new_point is the integral coordinate difference.
+    shift = old_point - new_point, the difference of their floors.
     """
     if len(old_pts) != len(new_pts):
         raise ValueError("structure elements not congruent")
-    used = [False] * len(new_pts)
+    free: dict[tuple, list[int]] = {}  # class -> its unused indices, lowest last
+    for q in reversed(range(len(new_pts))):
+        free.setdefault(_fractional(new_pts[q]), []).append(q)
     out = []
     for sp in old_pts:
-        hit = None
-        for q, up in enumerate(new_pts):
-            if used[q]:
-                continue
-            diff = tuple(a - b for a, b in zip(sp, up))
-            if all(d.denominator == 1 for d in diff):
-                hit = (q, tuple(int(d) for d in diff))
-                break
-        if hit is None:
+        unused = free.get(_fractional(sp))
+        if not unused:
             raise ValueError("structure elements not congruent")
-        used[hit[0]] = True
-        out.append(hit)
+        q = unused.pop()
+        out.append((q, tuple(floor(a) - floor(b) for a, b in zip(sp, new_pts[q]))))
     return out
 
 
@@ -227,23 +228,19 @@ def change_structure_element(l: MultiplicationOperator, u, v) -> MultiplicationO
     new_shape = (len(v), len(u))
     acc: dict[tuple[int, ...], np.ndarray] = {}
     for off, mat in l.multipliers.items():
-        for i in range(mat.shape[0]):
+        for i, j in zip(*np.nonzero(mat)):
             qi, fi = cod[i]
-            for j in range(mat.shape[1]):
-                val = mat[i, j]
-                if val == 0:
-                    continue
-                rj, ej = dom[j]
-                z = tuple(o + e - f for o, e, f in zip(off, ej, fi))
-                blk = acc.get(z)
-                if blk is None:
-                    blk = acc[z] = np.zeros(new_shape, dtype=complex)
-                blk[qi, rj] = val
+            rj, ej = dom[j]
+            z = tuple(o + e - f for o, e, f in zip(off, ej, fi))
+            blk = acc.get(z)
+            if blk is None:
+                blk = acc[z] = np.zeros(new_shape, dtype=complex)
+            blk[qi, rj] = mat[i, j]
     return MultiplicationOperator(l.lattice, u, v, acc)
 
 
 def _reduced_sorted(se: StructureElement) -> StructureElement:
-    red = [tuple(x - floor(x) for x in p) for p in se.points]
+    red = [tuple(Fraction(*c) for c in _fractional(p)) for p in se.points]
     order = sorted(range(len(red)), key=lambda idx: (red[idx], idx))
     return StructureElement([red[idx] for idx in order])
 

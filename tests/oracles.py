@@ -363,3 +363,30 @@ def where_pinv_matrix(m, zero_tol=float(np.finfo(float).eps) ** (2.0 / 3.0)):
     rank_tol = max(m.shape) * np.finfo(float).eps
     inv = np.where(s > rank_tol * s[0], 1.0 / np.where(s == 0, 1.0, s), 0.0)
     return (vh.conj().T * inv) @ u.conj().T
+
+
+def pairwise_match_congruent(old_pts, new_pts):
+    """Match each old point to an unused new point differing by an integer vector.
+
+    Returns a list of (new_index, shift) pairs indexed by old position, where
+    shift = old_point - new_point is the integral coordinate difference.
+    Tries every unused new point against each old one, lowest index first.
+    """
+    if len(old_pts) != len(new_pts):
+        raise ValueError("structure elements not congruent")
+    used = [False] * len(new_pts)
+    out = []
+    for sp in old_pts:
+        hit = None
+        for q, up in enumerate(new_pts):
+            if used[q]:
+                continue
+            diff = tuple(a - b for a, b in zip(sp, up))
+            if all(d.denominator == 1 for d in diff):
+                hit = (q, tuple(int(d) for d in diff))
+                break
+        if hit is None:
+            raise ValueError("structure elements not congruent")
+        used[hit[0]] = True
+        out.append(hit)
+    return out

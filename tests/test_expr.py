@@ -162,6 +162,25 @@ def test_scalar_must_multiply():
         parse("2 L")
 
 
+@pytest.mark.parametrize("text, offset, expected", [
+    ("A)", 1, ("end of expression", "'+'", "'-'", "'*'")),
+    ("A B", 2, ("end of expression", "'+'", "'-'", "'*'")),
+    ("2*3", 0, ("an operator for the scalar to multiply",)),
+    ("I(pinv)", 2, ("operator name inside I(...)",)),
+    ("I(2)", 2, ("operator name inside I(...)",)),
+])
+def test_syntax_error_names_offset_and_expectation(text, offset, expected):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (err.value.offset, err.value.expected) == (offset, expected)
+    assert str(err.value) == f"syntax error at offset {offset}: expected {', '.join(expected)}"
+
+
+@pytest.mark.parametrize("text", ["L  ", "L\t"])
+def test_trailing_whitespace_is_ignored(text):
+    assert parse(text).ast == parse("L").ast
+
+
 def test_bare_identity_alone_rejected():
     with pytest.raises(ValueError, match="bare I"):
         parse("I")

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pairwise_match_congruent
 from stencilfa.cli import load_operator_file
 from stencilfa.crystal import Lattice, StructureElement, lattice_equal, lcm_lattice
 from stencilfa.expr import parse
 from stencilfa.gallery import build
 from stencilfa.operator import (
     MultiplicationOperator,
+    _match_congruent,
     add,
     adjoint,
     change_structure_element,
@@ -219,6 +221,70 @@ def test_change_structure_element_rejects_non_congruent():
     coarse = normalize(lattice_coarsening(five_point(), RB_COARSE))
     with pytest.raises(ValueError, match="not congruent"):
         change_structure_element(coarse, [(0, 0), ("1/3", 0)], coarse.codomain_se)
+
+
+# class representatives with denominators 1 to 6, so one structure element
+# mixes denominators; 1/7 steps off every class of this pool
+point_class = st.tuples(*[st.fractions(min_value=0, max_value=1, max_denominator=6)] * 2)
+integer_shift = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _moved(p, shift):
+    return tuple(x + s for x, s in zip(p, shift))
+
+
+@st.composite
+def congruent_points(draw):
+    """Old points from at most three classes mod Z^2 (so classes repeat, and
+    a point may repeat exactly), and the new points: a permutation of them,
+    each moved by its own integer vector."""
+    classes = draw(st.lists(point_class, min_size=1, max_size=3))
+    n = draw(st.integers(1, 6))
+    old = [_moved(draw(st.sampled_from(classes)), draw(integer_shift)) for _ in range(n)]
+    new = [_moved(old[q], draw(integer_shift)) for q in draw(st.permutations(range(n)))]
+    return old, new
+
+
+@settings(max_examples=200, deadline=None)
+@given(congruent_points())
+def test_match_congruent_agrees_with_the_pairwise_reference(points):
+    old, new = points
+    got = _match_congruent(old, new)
+    assert got == pairwise_match_congruent(old, new)
+    assert sorted(q for q, _ in got) == list(range(len(new)))
+    for sp, (q, shift) in zip(old, got):
+        assert _moved(new[q], shift) == sp
+
+
+@settings(max_examples=100, deadline=None)
+@given(congruent_points(), st.data())
+def test_match_congruent_rejects_what_the_reference_rejects(points, data):
+    old, new = points
+    i = data.draw(st.integers(0, len(new) - 1))
+    off_class = new[:i] + [(new[i][0] + Fraction(1, 7), new[i][1])] + new[i + 1:]
+    for target in (off_class, new[:-1], new + [new[0]]):
+        for match in (_match_congruent, pairwise_match_congruent):
+            with pytest.raises(ValueError, match="^structure elements not congruent$"):
+                match(old, target)
+
+
+def test_change_structure_element_on_128_points_matches_the_pairwise_reference(monkeypatch):
+    l = build("graphene").operators["L"]
+    coarse = lattice_coarsening(l, Lattice(8 * l.lattice.basis))
+    assert coarse.shape == (128, 128)
+    rng = np.random.default_rng(5)
+
+    def scrambled(se):
+        return StructureElement([
+            _moved(se.points[q], rng.integers(-3, 4, size=2).tolist())
+            for q in rng.permutation(len(se))
+        ])
+
+    u, v = scrambled(coarse.domain_se), scrambled(coarse.codomain_se)
+    moved = change_structure_element(coarse, u, v)
+    assert normalize(moved) == normalize(coarse)
+    monkeypatch.setattr("stencilfa.operator._match_congruent", pairwise_match_congruent)
+    assert change_structure_element(coarse, u, v) == moved
 
 
 def test_triangular_splitting_bottom_up():

@@ -5,12 +5,15 @@ graphene at 41 (the two-grid propagator, 9 pinv per sample), curlcurl at 64
 and laplacian-rb at 64 (the red-black propagator, in no perfbench workload).
 Every workload runs five times (REPEATS) in this process and the record keeps each
 run's seconds, the best and the median, and the rho of the last run, so a
-speed-up that changes an answer shows in the file.  Before every run and
-after the last one, the calibration chunk of perfbench/workload.py (fixed
-work that calls no stencilfa code) is timed in the same process; runs_rel and
-median_rel are the seconds over the median chunk, so records written under
-different host loads compare the code.  BLAS runs on one thread unless the
-environment sets otherwise.
+speed-up that changes an answer shows in the file.  Every run starts from
+cold caches: the lru_caches of stencilfa.symbol (pinv_matrix's memo and the
+phase table) are cleared before it, so no run inherits the last one's
+results.  Before every run and after the last one, CAL_CHUNKS calibration
+chunks of perfbench/workload.py (fixed work that calls no stencilfa code) are
+timed in the same process; runs_rel and median_rel are the seconds over the
+median of those chunks, so records written under different host loads
+compare the code.  BLAS runs on one thread unless the environment sets
+otherwise.
 
     python3 scripts/bench_spectrum.py --tag main
     python3 scripts/bench_spectrum.py --tag ci --size tiny --out-dir /tmp
@@ -33,30 +36,39 @@ from pathlib import Path
 
 import numpy as np
 
-from stencilfa import build, compute_spectrum, parse
+from stencilfa import build, compute_spectrum, parse, symbol
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workload import Calibration  # noqa: E402
 
 REPEATS = 5
+CAL_CHUNKS = 8
 RESOLUTION = {
     "full": {"graphene": 41, "curlcurl": 64, "laplacian-rb": 64},
     "tiny": {"graphene": 5, "curlcurl": 4, "laplacian-rb": 4},
 }
 
 
+def calibrate(cal: Calibration) -> None:
+    for _ in range(CAL_CHUNKS):
+        cal.chunk()
+
+
 def bench(name: str, n: int, cal: Calibration) -> dict:
     entry = build(name)
     expr = parse(entry.expression)
     m = n * np.eye(2, dtype=int)
+    caches = [f for f in vars(symbol).values() if hasattr(f, "cache_clear")]
     runs = []
     cal.chunks.clear()
     for _ in range(REPEATS):
-        cal.chunk()
+        calibrate(cal)
+        for cache in caches:
+            cache.cache_clear()
         start = time.perf_counter()
         result = compute_spectrum(expr, entry.operators, m)
         runs.append(time.perf_counter() - start)
-    cal.chunk()
+    calibrate(cal)
     chunk = statistics.median(cal.chunks)
     return {
         "name": name,

@@ -294,7 +294,11 @@ def lattice_coarsening(l: MultiplicationOperator, coarse: Lattice) -> Multiplica
 
 
 def make_compatible(ops) -> list[MultiplicationOperator]:
-    """Rewrite all operators on the coarsest common sublattice, normalized."""
+    """Rewrite all operators on the coarsest common sublattice, normalized.
+
+    An operator whose basis has the common lattice's bytes is only
+    normalized: coarsening it onto its own lattice would change nothing.
+    """
     ops = list(ops)
     if not ops:
         return []
@@ -306,7 +310,8 @@ def make_compatible(ops) -> list[MultiplicationOperator]:
             z = op.lattice
         else:
             z = lcm_lattice(z, op.lattice)
-    return [normalize(lattice_coarsening(op, z)) for op in ops]
+    key = z.basis.tobytes()
+    return [normalize(op if op.lattice.basis.tobytes() == key else lattice_coarsening(op, z)) for op in ops]
 
 
 def triangular_splitting(l: MultiplicationOperator) -> MultiplicationOperator:

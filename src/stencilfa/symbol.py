@@ -14,10 +14,15 @@ Evaluating the phase from k_frac instead of the physical wave vector keeps
 rational frequencies exact up to the exponential itself: k_frac = 1/2 gives
 a turn of exactly 0.5 no matter how the lattice basis is conditioned.
 symbol_at(l, num, den) takes k_frac only as a row of integer numerators over
-den, as a DualTorus holds it, and needs no Fraction arithmetic: the turn of
-offset j is the exact residue (<num, j> mod den) / den, rounded to a float
-once by int true division, and one vectorized exp covers all offsets of an
-operator.  The sum over offsets runs in ``multipliers`` order, which is
+den, as a DualTorus holds it, and needs no Fraction arithmetic: the phase of
+offset j is exp(2*pi*i * r/den) at the exact residue r = <num, j> mod den,
+and every phase over one den is read from that den's phase table, the
+read-only exp of all den turns r/den (FFT codes call it a twiddle-factor
+table).  A functools.lru_cache keeps the table of the most recent den: it
+costs O(den) time and 16 bytes per entry once per den, and is built only for
+den <= SAMPLE_CAP (at most 16 MB), which covers every torus a spectrum or
+verify samples.  A larger den, passed by a direct call, takes the exp of the
+same turns.  The sum over offsets runs in ``multipliers`` order, which is
 ascending offset order however the operator was built, on the operator's
 cached (n, rows, cols) multiplier stack, as the last row of the sequential
 np.add.accumulate (np.cumsum without its wrapper's cost; np.add.reduce sums
@@ -58,7 +63,7 @@ from operator import index, mul
 
 import numpy as np
 
-from .crystal import DualTorus, Lattice, integer_resolution, k_frac_text, sample_dual_torus
+from .crystal import SAMPLE_CAP, DualTorus, Lattice, integer_resolution, k_frac_text, sample_dual_torus
 from .operator import MultiplicationOperator, make_compatible
 
 
@@ -115,10 +120,21 @@ class SpectrumResult:
         return SpectrumRecords(self.samples, self.eigenvalues)
 
 
+@lru_cache(maxsize=1)
+def _phase_table(den: int) -> np.ndarray:
+    """The read-only phases exp(2*pi*i * r/den) of the residues r = 0..den-1,
+    by the formula symbol_at and symbols apply to a den past SAMPLE_CAP."""
+    table = np.exp(2j * pi * (np.arange(den) / den))
+    table.setflags(write=False)
+    return table
+
+
 def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     """The symbol matrix of l at the frequency k_frac = num/den, num a row of
     integer numerators over den, such as a row of ``DualTorus.num``, each
-    taken as a Python int (exact for numpy ints; a float is a TypeError)."""
+    taken as a Python int (exact for numpy ints; a float is a TypeError).
+    The residues <num, j> mod den are Python ints, and their phases are read
+    from den's phase table."""
     num = list(map(index, num))
     den = index(den)
     if len(num) != l.dim:
@@ -126,8 +142,12 @@ def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     offsets, stack = l._stack
     if not offsets:
         return np.zeros(l.shape, dtype=complex)
-    turns = np.array([sum(map(mul, off, num)) % den / den for off in offsets])
-    terms = stack * np.exp(2j * pi * turns)[:, None, None]
+    residues = [sum(map(mul, off, num)) % den for off in offsets]
+    if 0 < den <= SAMPLE_CAP:
+        phases = _phase_table(den).take(residues)
+    else:
+        phases = np.exp(2j * pi * np.array([r / den for r in residues]))
+    terms = stack * phases[:, None, None]
     # a strictly sequential running sum adds the terms in the same order as
     # a loop would; + 0.0 turns a leading -0.0 into the +0.0 of a sum from zero
     return np.add.accumulate(terms)[-1] + 0.0
@@ -135,8 +155,9 @@ def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
 
 def symbols(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     """The (N, rows, cols) symbols of l at the rows of the (N, dim) integer
-    array num over den, row i bit-identical to symbol_at(l, num[i], den).
-    A den with dim * den**2 >= 2**63 is a ValueError, a float num a TypeError."""
+    array num over den, row i bit-identical to symbol_at(l, num[i], den):
+    the (N, n) int64 residues index the same phase table.  A den with
+    dim * den**2 >= 2**63 is a ValueError, a float num a TypeError."""
     num = np.asarray(num)
     if num.ndim != 2 or num.shape[1] != l.dim:
         raise ValueError(f"numerators of shape {num.shape}, operator has dimension {l.dim}")
@@ -149,8 +170,8 @@ def symbols(l: MultiplicationOperator, num, den: int) -> np.ndarray:
         return np.zeros((len(num),) + l.shape, dtype=complex)
     # reduced mod den in exact integers, the int64 product cannot wrap
     off = np.array([[o % den for o in row] for row in offsets], dtype=np.int64)
-    turns = (num % den).astype(np.int64) @ off.T % den / den
-    phases = np.exp(2j * pi * turns)
+    residues = (num % den).astype(np.int64) @ off.T % den
+    phases = _phase_table(den).take(residues) if den <= SAMPLE_CAP else np.exp(2j * pi * (residues / den))
     # the (1, n, rows*cols) * (N, n, 1) layout runs the same multiply loop as
     # symbol_at; other layouts can pick a SIMD loop that rounds differently
     terms = stack.reshape(1, len(offsets), -1) * phases[:, :, None]

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pairwise_match_congruent
+from stencilfa import operator as operator_module
 from stencilfa.cli import load_operator_file
 from stencilfa.crystal import Lattice, StructureElement, lattice_equal, lcm_lattice
 from stencilfa.expr import parse
-from stencilfa.gallery import build
+from stencilfa.gallery import build, entry_names
 from stencilfa.operator import (
     MultiplicationOperator,
     _match_congruent,
@@ -371,6 +372,30 @@ def test_make_compatible_takes_the_lcm_of_two_unnested_lattices():
         dense = np.linalg.eigvals(eval_dense(expr, env, m))
         assert abs(result.rho - 30.0) < 1e-12
         assert spectrum_distance(result.eigenvalues.ravel(), dense) < 1e-12
+
+
+@pytest.mark.parametrize("source", entry_names() + ["two_lattices.json", "diamond.json"])
+def test_make_compatible_coarsens_only_operators_off_the_common_lattice(source, monkeypatch):
+    if source.endswith(".json"):
+        entry = load_operator_file(str(TWO_LATTICES.parent / source))
+    else:
+        entry = build(source)
+    coarsen = operator_module.lattice_coarsening
+    # every operator of the entry, and the ones its expression names
+    for ops in (list(entry.operators.values()), list(parse(entry.expression).bind(entry.operators).values())):
+        out = make_compatible(ops)
+        common = out[0].lattice
+        coarsened = [normalize(coarsen(op, common)) for op in ops]
+        assert out == coarsened
+        for got, want in zip(out, coarsened):
+            assert got.lattice.basis.tobytes() == want.lattice.basis.tobytes()
+        # an operator whose basis has the common lattice's bytes is not coarsened
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(operator_module, "lattice_coarsening", lambda op, z: calls.append(op) or coarsen(op, z))
+            assert make_compatible(ops) == out
+        off = [op for op in ops if op.lattice.basis.tobytes() != common.basis.tobytes()]
+        assert list(map(id, calls)) == list(map(id, off))
 
 
 small_complex = st.builds(

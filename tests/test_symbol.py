@@ -4,6 +4,7 @@ import sys
 import threading
 from fractions import Fraction
 from math import isqrt, lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
 )
 from stencilfa import expr as expr_module
 from stencilfa import symbol
+from stencilfa.cli import load_operator_file
 from stencilfa.crystal import SAMPLE_CAP, Lattice, StructureElement, sample_dual_torus
 from stencilfa.expr import EvaluationError, parse
 from stencilfa.gallery import build
@@ -47,6 +49,7 @@ from stencilfa.symbol import (
 
 SQUARE = Lattice([[1, 0], [0, 1]])
 POINT = StructureElement([(0, 0)])
+DIAMOND = str(Path(__file__).parent / "data" / "diamond.json")
 
 
 def five_point(h=1.0):
@@ -203,6 +206,12 @@ _NEAR_2_61 = st.integers(2**61 - 60, 2**61 + 60) | st.integers(-(2**61) - 60, -(
          den=41, first=[3, 5, 0], n=2, neg_zero=False)
 # -0.0 multiplier entries, with an all-zero entry that sums to -0.0 before + 0.0
 @example(seed=1, dim=2, shape=(2, 2), offsets=[[0, 0, 0], [1, 0, 0]], den=5, first=[1, 3, 0], n=1, neg_zero=True)
+# both sides of the phase table's bound: the table of SAMPLE_CAP entries, and
+# the exp of the turns one denominator past it
+@example(seed=3, dim=2, shape=(2, 3), offsets=[[i, j, 0] for i in (-2, 0, 1) for j in (-1, 0, 3)],
+         den=SAMPLE_CAP, first=[SAMPLE_CAP - 1, 2**40 + 5, 0], n=64, neg_zero=False)
+@example(seed=3, dim=2, shape=(2, 3), offsets=[[i, j, 0] for i in (-2, 0, 1) for j in (-1, 0, 3)],
+         den=SAMPLE_CAP + 1, first=[SAMPLE_CAP, 2**40 + 5, 0], n=64, neg_zero=False)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(1, 3),
@@ -251,6 +260,44 @@ def test_symbols_refuse_a_denominator_past_exact_int64_phases():
     # an operator without multipliers has the zero symbol at every row
     empty = MultiplicationOperator(SQUARE, POINT, POINT, {})
     assert _same_bits(symbols(empty, num, 5), np.zeros((2, 1, 1), dtype=complex))
+    # in 3-D: the largest den with 3 * den**2 < 2**63, and the next one
+    den = isqrt((2**63 - 1) // 3)
+    assert 3 * den**2 < 2**63 <= 3 * (den + 1) ** 2
+    h = load_operator_file(DIAMOND).operators["H"]
+    num = np.array([[den - 1, den // 3, 1], [-5, 2 * den, den // 7], [0, 0, 0]])
+    for row, mat in zip(num.tolist(), symbols(h, num, den)):
+        assert _same_bits(mat, symbol_at(h, row, den))
+    with pytest.raises(ValueError, match=f"denominator {den + 1} is out of range"):
+        symbols(h, num, den + 1)
+
+
+def test_phase_table_is_read_only_and_shared_by_both_routes():
+    symbol._phase_table.cache_clear()
+    l = build("laplacian-rb").operators["L"]
+    num = [[3, 5], [11, 0]]
+    want = symbols(l, num, 12)
+    table = symbol._phase_table(12)
+    assert symbol._phase_table.cache_info().currsize == 1
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 2.0
+    assert _same_bits(table, np.exp(2j * np.pi * (np.arange(12) / 12)))
+    # symbol_at reads the kept table: the same array, the same bits
+    hits = symbol._phase_table.cache_info().hits
+    for row, mat in zip(num, want):
+        assert _same_bits(symbol_at(l, row, 12), mat)
+    assert symbol._phase_table.cache_info().hits == hits + 2
+    assert symbol._phase_table(12) is table
+    # a den past SAMPLE_CAP builds no table, SAMPLE_CAP itself does
+    symbol_at(l, [1, 2], SAMPLE_CAP + 1)
+    symbols(l, num, SAMPLE_CAP + 1)
+    assert symbol._phase_table.cache_info().currsize == 1
+    assert symbol._phase_table(12) is table
+    misses = symbol._phase_table.cache_info().misses
+    symbol_at(l, [1, 2], SAMPLE_CAP)
+    assert symbol._phase_table.cache_info().misses == misses + 1
+    assert symbol._phase_table(SAMPLE_CAP).shape == (SAMPLE_CAP,)
+    symbol._phase_table.cache_clear()
 
 
 def test_symbol_at_takes_numpy_integer_numerators_exactly():

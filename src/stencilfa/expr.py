@@ -27,8 +27,9 @@ algebra works on any mapping from names to complex matrices (symbol matrices
 or dense torus matrices) and supports pinv; Expression.eval_matrices uses it.
 It also takes (N, rows, cols) stacks, so one walk evaluates a whole block of
 frequency samples: products, sums and adjoints act on the stack at once, and
-pinv calls pinv_matrix once per matrix of the stack, which runs an SVD only
-for a matrix it has not kept the pseudo-inverse of.
+pinv calls pinv_matrix once per matrix of the stack, which takes a 1x1 or
+2x2 matrix in closed form and runs an SVD only for a larger matrix it has not
+kept the pseudo-inverse of.
 The operator algebra builds an actual multiplication operator out of the
 calculus in the operator module; pseudo-inverses have no position-space
 counterpart, so eval_position rejects any expression that contains one.
@@ -414,9 +415,9 @@ class _Matrices:
         return a.conj().swapaxes(-1, -2)
 
     def pinv(self, a):
-        # one pinv_matrix call per matrix of a stack (repeats are served from
-        # pinv_matrix's lru_cache), looked up at call time so that a rebinding
-        # of the module global is seen
+        # one pinv_matrix call per matrix of a stack (1x1 and 2x2 matrices in
+        # closed form, repeats of larger ones from pinv_matrix's lru_cache),
+        # looked up at call time so that a rebinding of the module global is seen
         *stack, rows, cols = a.shape
         out = [pinv_matrix(m) for m in a.reshape(prod(stack), rows, cols)]
         return np.array(out, dtype=complex).reshape(*stack, cols, rows)

@@ -21,9 +21,11 @@ read-only exp of all den turns r/den (FFT codes call it a twiddle-factor
 table).  A functools.lru_cache keeps the table of the most recent den: it
 costs O(den) time and 16 bytes per entry once per den, and is built only for
 den <= SAMPLE_CAP (at most 16 MB), which covers every torus a spectrum or
-verify samples.  A larger den, passed by a direct call, takes the exp of the
-same turns.  The sum over offsets runs in ``multipliers`` order, which is
-ascending offset order however the operator was built, on the operator's
+verify samples; a spectrum passes its samples over den/g, g the common factor
+of den and every numerator, so at M = n*I its table has n entries, not n**2.
+A larger den, passed by a direct call, takes the exp of the same turns.  The
+sum over offsets runs in ``multipliers`` order, which is ascending offset
+order however the operator was built, on the operator's
 cached (n, rows, cols) multiplier stack, as the last row of the sequential
 np.add.accumulate (np.cumsum without its wrapper's cost; np.add.reduce sums
 pairwise along an innermost axis, as on a 1x1 operator, and changes the
@@ -44,12 +46,16 @@ are stacked to (B, rows, cols), the expression is walked once over the stacks
 (pinv still calls pinv_matrix once per matrix, a count the benchmark pins),
 one eigenvalues call covers the block, and one lexsort orders every row of
 its (B, n) eigenvalue array by (re, im).  Every step acts matrix by matrix,
-so the values are bit-identical to a per-sample loop.  pinv_matrix runs one
-SVD per distinct input: a functools.lru_cache keeps the results of its 256
-most recent small inputs, keyed on shape and bytes, and a repeat (a k-invariant
-block, or one varying along one torus axis) gets a copy of the kept result.  A
-SpectrumResult holds the samples and eigenvalues as arrays; a SpectrumRecord
-is built for a row only when ``records`` is read.
+so the values are bit-identical to a per-sample loop.  pinv_matrix takes a
+1x1 or 2x2 input, the common block of systems of PDEs, two-atom bases and
+colored smoothers, in closed form: the same cutoffs applied to singular
+values computed from the Frobenius norm and the determinant in Python complex
+arithmetic, with no SVD.  Any other input runs one SVD per distinct input: a
+functools.lru_cache keeps the results of its 256 most recent small inputs,
+keyed on shape and bytes, and a repeat (a k-invariant block, or one varying
+along one torus axis) gets a copy of the kept result.  A SpectrumResult
+holds the samples and eigenvalues as arrays; a SpectrumRecord is built for a
+row only when ``records`` is read.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import pi
+from math import gcd, pi, sqrt
 from operator import index, mul
 
 import numpy as np
@@ -193,12 +199,18 @@ ZERO_MATRIX_TOL = _EPS ** (2.0 / 3.0)
 
 
 #: The pseudo-inverses pinv_matrix keeps in its lru_cache, and the most entries
-#: a kept matrix may have.  A spectrum repeats most of its pinv inputs
-#: (graphene at res 41: 3,409 distinct in 15,129 calls), mostly close together
+#: a kept matrix may have.  A spectrum repeats most of its larger pinv inputs
+#: (graphene at res 41: 1,764 distinct in 13,448 8x8 calls), mostly close together
 #: in k_frac order, so a few hundred entries serve nearly all of them; larger
 #: matrices, such as dense torus matrices, are not kept.
 _MEMO_ENTRIES = 256
 _MEMO_MATRIX_SIZE = 256
+
+#: The shapes pinv_matrix takes in closed form, and the squared Frobenius norm
+#: below which that form's products and sums of entries cannot overflow; at
+#: or above it (or NaN) the input takes the SVD.
+_SMALL_SHAPES = ((1, 1), (2, 2))
+_SMALL_FORM_BOUND = 2.0**1000
 
 
 def pinv_matrix(m: np.ndarray) -> np.ndarray:
@@ -209,7 +221,11 @@ def pinv_matrix(m: np.ndarray) -> np.ndarray:
     exceed ZERO_MATRIX_TOL, the whole matrix is treated as zero and the zero
     matrix of transposed shape is returned.
 
-    The result for an input of at most _MEMO_MATRIX_SIZE entries is kept in
+    A 1x1 or 2x2 input whose squared Frobenius norm is below _SMALL_FORM_BOUND
+    (every entry finite and below about 2**500) takes the closed form of
+    _small_pinv: the same rule on singular values computed in Python complex
+    arithmetic, with no SVD and no memo entry.  Any other input takes one SVD;
+    the result for an input of at most _MEMO_MATRIX_SIZE entries is kept in
     the lru_cache _memo_pinv, keyed on the shape and the bytes of its values
     (so -0.0 and 0.0 differ), and a repeated input gets a copy of it: the same
     bits as a new SVD, which does not depend on the input's memory layout.
@@ -217,10 +233,39 @@ def pinv_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return m.T.copy()
+    if m.shape in _SMALL_SHAPES and (p := _small_pinv(m.ravel().tolist())) is not None:
+        return p
     if m.size > _MEMO_MATRIX_SIZE:
         return _svd_pinv(m)
     # order="K" keeps the kept result's layout (the zero matrix is F-ordered)
     return _memo_pinv(m.shape, m.tobytes()).copy(order="K")
+
+
+def _small_pinv(entries: list[complex]) -> np.ndarray | None:
+    """pinv_matrix of the 1x1 or 2x2 matrix with these entries in row order,
+    or None when its squared Frobenius norm f is not below _SMALL_FORM_BOUND.
+
+    With det = ad - bc, the singular values of a 2x2 are
+    s1 = (sqrt(f + 2|det|) + sqrt(f - 2|det|)) / 2 and s2 = |det| / s1, so
+    (s1 + s2)**2 = f + 2|det| and s1 * s2 = |det|.  Above the rank cut the
+    result is the adjugate over det; at or below it, s2 is dropped and the
+    rank-one pseudo-inverse is the conjugate transpose over f.
+    """
+    f = sum(z.real * z.real + z.imag * z.imag for z in entries)
+    if not f < _SMALL_FORM_BOUND:
+        return None
+    if len(entries) == 1:
+        (a,) = entries
+        return np.array([[1 / a if abs(a) > ZERO_MATRIX_TOL else 0j]])
+    a, b, c, d = entries
+    det = a * d - b * c
+    r = abs(det)
+    s1 = (sqrt(f + 2 * r) + sqrt(max(f - 2 * r, 0.0))) / 2
+    if s1 <= ZERO_MATRIX_TOL:
+        return np.zeros((2, 2), dtype=complex)
+    if r / s1 > 2 * _EPS * s1:
+        return np.array([[d / det, -b / det], [-c / det, a / det]])
+    return np.array([[a.conjugate() / f, c.conjugate() / f], [b.conjugate() / f, d.conjugate() / f]])
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
@@ -258,12 +303,18 @@ BLOCK = 64
 
 def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.ndarray]]:
     """Each block of samples with its (B, n) eigenvalues, every row sorted by
-    (re, im): one walk over the stacked symbols and one eigvals call per block."""
+    (re, im): one walk over the stacked symbols and one eigvals call per block.
+
+    The symbols take every sample over den/g, g the common factor of den and
+    all numerators (n at M = n*I), so the phase table has den/g entries:
+    r/den and (r/g)/(den/g) round the same rational, so the phases and the
+    symbols keep their bits."""
+    g = gcd(samples.den, *np.gcd.reduce(samples.num, axis=0).tolist())
+    den = samples.den // g
     for start in range(0, len(samples), BLOCK):
         rows = slice(start, start + BLOCK)
         block = DualTorus(samples.num[rows], samples.den, samples.k_phys[rows])
-        nums = block.num.tolist()
-        den = block.den
+        nums = (block.num // g).tolist()
         env = {name: np.array([symbol_at(op, num, den) for num in nums]) for name, op in named.items()}
         try:
             value = expr.eval_matrices(env)

@@ -365,6 +365,31 @@ def where_pinv_matrix(m, zero_tol=float(np.finfo(float).eps) ** (2.0 / 3.0)):
     return (vh.conj().T * inv) @ u.conj().T
 
 
+def fraction_inverse(m) -> np.ndarray:
+    """The inverse of a nonsingular 1x1 or 2x2 complex matrix of floats in
+    exact (Fraction, Fraction) arithmetic, the adjugate over the determinant,
+    each entry rounded to a float once at the end."""
+    m = np.asarray(m, dtype=complex)
+    z = [(Fraction(c.real), Fraction(c.imag)) for c in m.ravel().tolist()]
+
+    def times(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    def neg(p):
+        return (-p[0], -p[1])
+
+    if len(z) == 1:
+        det, adj = z[0], [(Fraction(1), Fraction(0))]
+    else:
+        a, b, c, d = z
+        ad, bc = times(a, d), times(b, c)
+        det, adj = (ad[0] - bc[0], ad[1] - bc[1]), [d, neg(b), neg(c), a]
+    norm = det[0] ** 2 + det[1] ** 2
+    inv_det = (det[0] / norm, -det[1] / norm)
+    out = [times(e, inv_det) for e in adj]
+    return np.array([complex(float(re), float(im)) for re, im in out]).reshape(m.shape)
+
+
 def pairwise_match_congruent(old_pts, new_pts):
     """Match each old point to an unused new point differing by an integer vector.
 

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     charpoly_eigenvalues,
     cumsum_symbol_at,
+    fraction_inverse,
     fraction_symbol_at,
     k_fracs,
     pair_eigenvalues,
@@ -382,12 +383,12 @@ def test_pinv_rank_tolerance_override():
 def test_pinv_noise_level_matrix_is_zero(cold_memo):
     # a matrix that is zero in exact arithmetic but carries rounding residue
     # must not be inverted into garbage; the absolute floor catches it, on
-    # the first call and on a memo hit alike
+    # the first call and on a memo hit alike (a 3x3 takes the SVD route)
     rng = np.random.default_rng(0)
-    noise = 1e-15 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    noise = 1e-15 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     for _ in range(2):
         p = pinv_matrix(noise)
-        assert _same_bits(p, np.zeros((2, 2), dtype=complex))
+        assert _same_bits(p, np.zeros((3, 3), dtype=complex))
         # a hit keeps the memory layout of a new SVD's result
         assert p.strides == where_pinv_matrix(noise).strides
     assert _kept(cold_memo) == 1
@@ -431,7 +432,9 @@ def test_pinv_penrose_axioms(seed, n, rank):
 def test_pinv_matrix_equals_two_where_form_bit_for_bit(seed, rows, cols, spectrum, scale):
     # singular values near the zero floor (scale 1e-10 times 1.0 and 0.3, and
     # scales 1e-11 and 1e-12, straddle eps^(2/3)) and near the rank cut
-    # (1e-15, 1e-17 against max(shape)*eps), empty and non-square shapes
+    # (1e-15, 1e-17 against max(shape)*eps), empty and non-square shapes;
+    # 1x1 and 2x2 inputs take the closed form, tested below
+    assume((rows, cols) not in symbol._SMALL_SHAPES)
     rng = np.random.default_rng(seed)
     k = min(rows, cols, len(spectrum))
     q1 = np.linalg.qr(rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows)))[0]
@@ -444,15 +447,153 @@ def test_pinv_matrix_equals_two_where_form_bit_for_bit(seed, rows, cols, spectru
     assert _same_bits(pinv_matrix(m), want)
 
 
+# ----------------------------------------------------- pinv closed form
+
+_EPS = float(np.finfo(float).eps)
+_small_entries = st.lists(
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False), min_size=4, max_size=4
+)
+
+
+@given(size=st.sampled_from([1, 2]), entries=_small_entries, exponent=st.integers(-40, 40))
+@settings(max_examples=300, deadline=None)
+@example(size=2, entries=[1, 2, 3, 4], exponent=0)
+@example(size=2, entries=[1e6, 1, 1, 1e-6], exponent=0)
+@example(size=1, entries=[-3j, 0, 0, 0], exponent=-30)
+def test_closed_form_inverts_full_rank_matrices_as_exact_arithmetic_does(size, entries, exponent):
+    m = (np.array(entries[: size * size]) * 2.0**exponent).reshape(size, size)
+    s = np.linalg.svd(m, compute_uv=False)
+    # full rank, well above the zero floor and the rank cut
+    assume(s[0] > 1e-6 and s[-1] > 1e-12 * s[0])
+    kept = symbol._memo_pinv.cache_info().currsize
+    got = pinv_matrix(m)
+    want = fraction_inverse(m)
+    # det = ad - bc loses at most about 2 eps * f / |det| <= 4 eps * kappa of
+    # its bits to cancellation; the divisions add a few eps
+    kappa = s[0] / s[-1]
+    assert np.linalg.norm(got - want) <= 16 * _EPS * kappa * np.linalg.norm(want)
+    assert symbol._memo_pinv.cache_info().currsize == kept
+
+
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-16, 16), real=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_never_inverts_a_rank_one_matrix(seed, exponent, real):
+    # each entry of m = u v^H rounds with relative error at most sqrt(5)*eps/2,
+    # so the computed |det| stays below about 1.7 eps * f, under the rank
+    # cut's 2 eps * s1**2: the closed form always drops s2
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(2, 2)) + (0 if real else 1j) * rng.normal(size=(2, 2))
+    m = np.outer(u, v.conj()) * 2.0**exponent
+    got = pinv_matrix(m)
+    want = np.outer(v, u.conj()) / (np.vdot(u, u).real * np.vdot(v, v).real * 2.0**exponent)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_closed_form_floors_noise_to_the_zero_matrix(cold_memo):
+    rng = np.random.default_rng(0)
+    noise = 1e-15 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    assert _same_bits(pinv_matrix(noise), np.zeros((2, 2), dtype=complex))
+    assert _same_bits(pinv_matrix(noise[:1, :1]), np.zeros((1, 1), dtype=complex))
+    # the floor is on s1: just below it the zero matrix, just above it the
+    # SVD route's result, for a 1x1, a rank-one and a full-rank 2x2
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    for s1 in (0.9 * symbol.ZERO_MATRIX_TOL, 1.1 * symbol.ZERO_MATRIX_TOL):
+        for m in (np.array([[s1]]), np.diag([s1, 0.0]), s1 * q):
+            got = pinv_matrix(m)
+            if s1 < symbol.ZERO_MATRIX_TOL:
+                assert _same_bits(got, np.zeros(m.shape, dtype=complex))
+            else:
+                want = where_pinv_matrix(m)
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert _kept(cold_memo) == 0
+
+
+@pytest.mark.parametrize("t", [1.9, 2.0, 2.1])
+def test_closed_form_cuts_where_the_svd_route_does(t):
+    # s2 = t*eps*s1 exactly, on either side of and at the cut max(shape)*eps*s1;
+    # an inverted s2 would give an entry near 1/(2*eps), about 2e15
+    for m in (np.diag([1.0, t * _EPS]), np.array([[0, -1j], [t * _EPS, 0]])):
+        want = where_pinv_matrix(m)
+        assert np.linalg.norm(pinv_matrix(m) - want) <= 1e-14 * np.linalg.norm(want)
+        assert (np.abs(want).max() > 1.0) == (t > 2.0)
+
+
+def test_closed_form_runs_no_svd_and_keeps_nothing(cold_memo, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD run for a 1x1 or 2x2 input")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for m in ([[2.0]], [[0.0]], [[1, 2], [3, 4]], [[1, 2], [2, 4]], [[4, 0], [0, 0]], np.zeros((2, 2))):
+        pinv_matrix(np.array(m, dtype=complex))
+    assert _kept(cold_memo) == 0
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[np.nan]],
+        [[complex(1.0, np.nan)]],
+        [[np.nan, 0], [0, 1]],
+        [[1, 2], [3, complex(0, np.nan)]],
+        [[np.inf]],
+        [[complex(0, np.inf)]],
+        [[np.inf, 0], [0, 1]],
+        [[1, 1], [1, -np.inf]],
+    ],
+)
+def test_closed_form_leaves_non_finite_inputs_to_the_svd_route(m):
+    # a NaN entry raises the SVD's LinAlgError; an infinite one gives the
+    # SVD route's result (NaN entries with this LAPACK), as before
+    m = np.array(m, dtype=complex)
+    try:
+        want = where_pinv_matrix(m)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            pinv_matrix(m)
+    else:
+        assert not np.isnan(m).any()
+        assert np.array_equal(pinv_matrix(m), want, equal_nan=True)
+
+
+def test_entries_past_the_closed_form_bound_take_the_svd_route(cold_memo):
+    # squared entries near 1e400 overflow the closed form's f; a finite f
+    # near 1.5e308 still overflows f + 2|det|
+    rng = np.random.default_rng(4)
+    base = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rank_one = np.outer(base[0], base[1].conj())
+    for m in (base, base[:1, :1], rank_one):
+        for scale in (1e200, np.sqrt(1.5e308 / np.vdot(m, m).real)):
+            big = scale * m
+            got = pinv_matrix(big)
+            assert _same_bits(got, where_pinv_matrix(big))
+            # the same matrix unscaled takes the closed form, to rounding
+            want = pinv_matrix(m)
+            assert np.linalg.norm(scale * got - want) <= 1e-14 * np.linalg.norm(want)
+    assert _kept(cold_memo) == 6
+    # entries of 1e150 (squares near 1e300) are still inside the bound
+    pinv_matrix(1e150 * base)
+    assert _kept(cold_memo) == 6
+
+
+def test_closed_form_reads_a_fortran_view_as_its_c_copy():
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    fortran = np.asfortranarray(base[:2, :2])
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    for view in (fortran, base[::2, 1::2], base[1:2, 3:4]):
+        copy = np.ascontiguousarray(view)
+        assert _same_bits(pinv_matrix(view), pinv_matrix(copy))
+
+
 # ------------------------------------------------------------ pinv memo
 
 
 def test_pinv_memo_keeps_signed_zeros_apart(cold_memo):
     # the two inputs are equal as numbers, yet their SVDs round differently:
     # a memo keyed on values would hand one the other's pseudo-inverse
-    pos = np.array([[2j, 2j], [-2 - 2j, -2 + 1j]])
+    pos = np.array([[complex(0.0, -1.0), 3j, 2 - 1j], [3 - 2j, -3 + 2j, -2 - 2j], [2 - 1j, 3 + 1j, -2]])
     neg = pos.copy()
-    neg[0, 0] = complex(-0.0, 2.0)
+    neg[0, 0] = complex(-0.0, -1.0)
     assert np.array_equal(pos, neg) and pos.tobytes() != neg.tobytes()
     assert where_pinv_matrix(pos).tobytes() != where_pinv_matrix(neg).tobytes()
     for m in (pos, neg, pos, neg):
@@ -484,7 +625,7 @@ def test_pinv_memo_fortran_view_and_its_c_copy_share_one_entry(cold_memo):
 
 
 def test_pinv_memo_hands_out_copies(cold_memo):
-    m = np.array([[2.0, 1.0], [0.5, 4.0]], dtype=complex)
+    m = np.array([[2.0, 1.0, 0.0], [0.5, 4.0, 1j], [0.0, 1.0, 3.0]], dtype=complex)
     want = where_pinv_matrix(m)
     first = pinv_matrix(m)
     first[...] = 7.0
@@ -500,24 +641,27 @@ def test_pinv_memo_hands_out_copies(cold_memo):
 
 
 def test_pinv_memo_stays_within_its_bound(cold_memo):
+    def diag(x):
+        return np.diag([x, 1.0, 1.0])
+
     count = 3 * symbol._MEMO_ENTRIES
     for i in range(count):
-        pinv_matrix(np.array([[i + 1.0]]))
+        pinv_matrix(diag(i + 1.0))
         assert _kept(cold_memo) <= symbol._MEMO_ENTRIES
     assert _kept(cold_memo) == symbol._MEMO_ENTRIES
     # least recently used goes first: a refreshed old entry outlives newer ones
     oldest_kept = count - symbol._MEMO_ENTRIES + 1.0
-    assert _is_hit(cold_memo, np.array([[oldest_kept]]))
-    assert not _is_hit(cold_memo, np.array([[count + 1.0]]))
-    assert _is_hit(cold_memo, np.array([[count + 1.0]]))
-    assert _is_hit(cold_memo, np.array([[oldest_kept]]))
-    assert not _is_hit(cold_memo, np.array([[oldest_kept + 1]]))
+    assert _is_hit(cold_memo, diag(oldest_kept))
+    assert not _is_hit(cold_memo, diag(count + 1.0))
+    assert _is_hit(cold_memo, diag(count + 1.0))
+    assert _is_hit(cold_memo, diag(oldest_kept))
+    assert not _is_hit(cold_memo, diag(oldest_kept + 1))
 
 
 def test_pinv_memo_gives_right_bits_under_threads(cold_memo):
     # more inputs than the memo keeps, so hits, misses and evictions interleave
     rng = np.random.default_rng(11)
-    pool = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    pool = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             for _ in range(symbol._MEMO_ENTRIES + 64)]
     want = [where_pinv_matrix(m).tobytes() for m in pool]
     wrong = []
@@ -554,8 +698,8 @@ def test_pinv_memo_does_not_keep_large_matrices(cold_memo):
     "name, m, before",
     [
         ("graphene", [[9, 0], [0, 9]], ("graphene", [[9, 0], [0, 9]])),
-        ("graphene", [[9, 0], [0, 9]], ("laplacian-rb", [[8, 0], [0, 8]])),
-        ("laplacian-rb", [[8, 0], [0, 8]], ("laplacian-rb", [[8, 0], [0, 8]])),
+        ("graphene", [[9, 0], [0, 9]], ("graphene", [[5, 0], [0, 5]])),
+        ("laplacian-rb", [[8, 0], [0, 8]], ("graphene", [[9, 0], [0, 9]])),
         ("laplacian-rb", [[8, 0], [0, 8]], ("graphene", [[3, 0], [0, 3]])),
     ],
 )
@@ -575,19 +719,29 @@ def test_spectrum_does_not_depend_on_what_filled_the_memo(cold_memo, name, m, be
 
 @pytest.mark.parametrize("name, m", [("graphene", [[9, 0], [0, 9]]), ("laplacian-rb", [[8, 0], [0, 8]])])
 def test_spectrum_runs_one_svd_per_distinct_pinv_input(cold_memo, monkeypatch, name, m):
+    # only inputs that are not 1x1 or 2x2 take the SVD route: laplacian-rb's
+    # are all 2x2 and run none, graphene's 2x2 R*L*adj(R) none either
     seen = set()
+    svds = []
 
     def counting(a):
         a = np.asarray(a, dtype=complex)
-        assert 0 < a.size <= symbol._MEMO_MATRIX_SIZE
-        seen.add((a.shape, a.tobytes()))
+        assert 0 < a.size <= symbol._MEMO_MATRIX_SIZE and np.isfinite(a).all()
+        if a.shape not in symbol._SMALL_SHAPES:
+            seen.add((a.shape, a.tobytes()))
         return pinv_matrix(a)
 
+    def counting_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    svd = np.linalg.svd
     monkeypatch.setattr(expr_module, "pinv_matrix", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     entry = build(name)
     compute_spectrum(parse(entry.expression), entry.operators, m)
-    assert len(seen) > 1
-    assert cold_memo.cache_info().misses == len(seen)
+    assert cold_memo.cache_info().misses == len(seen) == len(svds)
+    assert (len(seen) > 1) == (name == "graphene")
 
 
 # ------------------------------------------------------------- eigenvalues
@@ -695,6 +849,32 @@ def test_spectrum_matches_per_sample_walk(name, text, m, count):
     # repr tells -0.0 from 0.0, so equal text is equal bits
     assert repr([r.eigenvalues for r in res.records]) == repr(eigs)
     assert res.rho.hex() == rho.hex()
+
+
+@pytest.mark.parametrize(
+    "name, m, den, table",
+    [
+        ("curlcurl", [[8, 0], [0, 8]], 64, 8),
+        ("graphene", [[6, 0], [0, 4]], 24, 12),
+        ("laplacian-rb", [[2, 3], [2, -2]], 10, 10),
+    ],
+)
+def test_spectrum_reads_phases_from_the_table_of_the_reduced_denominator(monkeypatch, name, m, den, table):
+    # the samples keep their den; their symbols come from a table of den/g
+    # entries, g the common factor of den and every numerator (the bits are
+    # those of the full den, see test_spectrum_matches_per_sample_walk)
+    read = set()
+    phase_table = symbol._phase_table
+
+    def recording(d):
+        read.add(d)
+        return phase_table(d)
+
+    monkeypatch.setattr(symbol, "_phase_table", recording)
+    entry = build(name)
+    res = compute_spectrum(parse(entry.expression), entry.operators, m)
+    assert res.samples.den == den
+    assert read == {table}
 
 
 def test_records_are_read_only_views_of_the_result_arrays():

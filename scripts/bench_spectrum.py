@@ -10,8 +10,10 @@ cold caches: the lru_caches of stencilfa.symbol (pinv_matrix's memo and the
 phase table) are cleared before it, so no run inherits the last one's
 results.  Before every run and after the last one, CAL_CHUNKS calibration
 chunks of perfbench/workload.py (fixed work that calls no stencilfa code) are
-timed in the same process; runs_rel and median_rel are the seconds over the
-median of those chunks, so records written under different host loads
+timed in the same process.  Each run's entry of runs_rel is its seconds over
+the median of the chunks timed just before and just after it (cal_runs_s),
+and median_rel is the median of those ratios: a load swing inside a record
+is divided out run by run, and records written under different host loads
 compare the code.  BLAS runs on one thread unless the environment sets
 otherwise.
 
@@ -49,9 +51,12 @@ RESOLUTION = {
 }
 
 
-def calibrate(cal: Calibration) -> None:
+def calibrate(cal: Calibration) -> list[float]:
+    """The seconds of CAL_CHUNKS calibration chunks timed one after another."""
+    start = len(cal.chunks)
     for _ in range(CAL_CHUNKS):
         cal.chunk()
+    return cal.chunks[start:]
 
 
 def bench(name: str, n: int, cal: Calibration) -> dict:
@@ -61,15 +66,17 @@ def bench(name: str, n: int, cal: Calibration) -> dict:
     caches = [f for f in vars(symbol).values() if hasattr(f, "cache_clear")]
     runs = []
     cal.chunks.clear()
+    around = [calibrate(cal)]
     for _ in range(REPEATS):
-        calibrate(cal)
         for cache in caches:
             cache.cache_clear()
         start = time.perf_counter()
         result = compute_spectrum(expr, entry.operators, m)
         runs.append(time.perf_counter() - start)
-    calibrate(cal)
-    chunk = statistics.median(cal.chunks)
+        around.append(calibrate(cal))
+    # the chunks just before and just after each run
+    chunks = [statistics.median(before + after) for before, after in zip(around, around[1:])]
+    rel = [t / chunk for t, chunk in zip(runs, chunks)]
     return {
         "name": name,
         "resolution": n,
@@ -78,9 +85,10 @@ def bench(name: str, n: int, cal: Calibration) -> dict:
         "runs_s": [round(t, 6) for t in runs],
         "best_s": round(min(runs), 6),
         "median_s": round(statistics.median(runs), 6),
-        "cal_median_s": round(chunk, 6),
-        "runs_rel": [round(t / chunk, 4) for t in runs],
-        "median_rel": round(statistics.median(runs) / chunk, 4),
+        "cal_median_s": round(statistics.median(cal.chunks), 6),
+        "cal_runs_s": [round(chunk, 6) for chunk in chunks],
+        "runs_rel": [round(r, 4) for r in rel],
+        "median_rel": round(statistics.median(rel), 4),
         "rho": result.rho,
         "rho_hex": result.rho.hex(),
     }

@@ -18,7 +18,8 @@ basis direction varying fastest; ``QuotientMap.reps`` holds it as one
 read-only (p, n) int64 array, and ``QuotientMap.residue`` reduces any point
 to its row by one loop over diag(H), in int64 or in Python ints.  Dual-torus
 samples come from that listing on the dual relation M^T; their coordinates
-are integer numerators over |det M|.  A sampled torus is a ``DualTorus`` of
+are integer numerators over their least common denominator, the lcm of the
+denominators of M^-1.  A sampled torus is a ``DualTorus`` of
 flat arrays with its rows in ascending numerator order, which is ascending
 k_frac order: sample i is row i of ``num`` over ``den``, with the wave vector
 ``k_phys[i]``, and ``k_frac_text`` writes a row's fractions from integers
@@ -136,10 +137,11 @@ class StructureElement:
 class DualTorus:
     """The sampled dual torus as flat arrays, one row per sample.
 
-    ``num`` is the read-only (N, n) int64 array of numerators over the common
-    denominator ``den`` = |det M| (N itself for a whole torus), its rows in
-    ascending order, which is ascending k_frac order; ``k_phys`` is the
-    read-only (N, n) float array of physical wave vectors.
+    ``num`` is the read-only (N, n) int64 array of numerators over ``den``,
+    the samples' least common denominator (n at M = n*I, a divisor of
+    N = |det M| in general), so no factor divides den and every numerator;
+    its rows are in ascending order, which is ascending k_frac order.
+    ``k_phys`` is the read-only (N, n) float array of physical wave vectors.
     """
 
     num: np.ndarray
@@ -271,8 +273,9 @@ def sample_dual_torus(a: Lattice, m) -> DualTorus:
     """All |det M| wave vectors of the dual torus for Z = A*M, in k_frac order.
 
     The representatives j of the quotient dual(Z)/dual(A) are listed through
-    QuotientMap(M^T); with d = |det M| the integer matrix d*M^-T maps each to
-    the numerators of k_frac = (M^-T j) mod 1, kept over d (``num``, ``den``).
+    QuotientMap(M^T); with den the lcm of the denominators of M^-1 the integer
+    matrix den*M^-T maps each to the numerators of k_frac = (M^-T j) mod 1,
+    kept over den (``num``, ``den``), the samples' lowest common terms.
     The physical wave vectors A^-T k_frac come from one matrix product, and
     one lexsort puts both in ascending numerator order.  A torus of more
     than SAMPLE_CAP points is a TorusTooLargeError, raised before anything
@@ -282,12 +285,13 @@ def sample_dual_torus(a: Lattice, m) -> DualTorus:
     if d > SAMPLE_CAP:
         raise TorusTooLargeError(f"torus too large to sample (|det M| = {d} > {SAMPLE_CAP})")
     mt = [list(col) for col in zip(*mm)]
-    num = np.array([[int(x * d) % d for x in row] for row in mat_inv(mt)])  # d*M^-T mod d
-    # d <= SAMPLE_CAP and every entry of reps and num is below d, so the
-    # products stay far inside int64 and d and every numerator are exact floats
+    num, den = scaled_integer(mat_inv(mt))
+    num = np.array([[x % den for x in row] for row in num])  # den*M^-T mod den
+    # den divides d <= SAMPLE_CAP and every entry of reps is below d, so the
+    # products stay far inside int64 and den and every numerator are exact floats
     nums = QuotientMap(mt).reps @ num.T
-    nums %= d
-    k_phys = (nums / d) @ dual_basis(a).basis.T
+    nums %= den
+    k_phys = (nums / den) @ dual_basis(a).basis.T
     # k_phys is taken in listing order and permuted with the numerators, so
     # every row keeps the bits of the listing's product; permuting one array
     # at a time holds fewer (N, n) copies at once
@@ -296,4 +300,4 @@ def sample_dual_torus(a: Lattice, m) -> DualTorus:
     k_phys = k_phys[order]
     nums.setflags(write=False)
     k_phys.setflags(write=False)
-    return DualTorus(nums, d, k_phys)
+    return DualTorus(nums, den, k_phys)

@@ -192,9 +192,9 @@ def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
     The vector for (k, l) carries exp(+2*pi*i*<k_frac, x>) at structure slot l
     of every torus point x and zero elsewhere; it is normalized with respect
     to the averaged inner product <f, g> = (1/|T|) sum conj(f) g.  Every
-    k_frac is K/d for an integer row K of DualTorus.num over d = |det M|, so the
-    phase is taken from the exact residue p = (K.x) mod d: i^(4p // d) times
-    exp(i*pi/2 * (4p mod d)/d), exact at every multiple of a quarter turn.
+    k_frac is K/d for an integer row K of DualTorus.num over d = DualTorus.den,
+    so the phase is taken from the exact residue p = (K.x) mod d: i^(4p // d)
+    times exp(i*pi/2 * (4p mod d)/d), exact at every multiple of a quarter turn.
     """
     qm = _torus_quotient(a, m)
     return list(np.kron(_wave_phases(sample_dual_torus(a, m), qm), np.eye(len(se))))

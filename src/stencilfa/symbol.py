@@ -21,8 +21,8 @@ read-only exp of all den turns r/den (FFT codes call it a twiddle-factor
 table).  A functools.lru_cache keeps the table of the most recent den: it
 costs O(den) time and 16 bytes per entry once per den, and is built only for
 den <= SAMPLE_CAP (at most 16 MB), which covers every torus a spectrum or
-verify samples; a spectrum passes its samples over den/g, g the common factor
-of den and every numerator, so at M = n*I its table has n entries, not n**2.
+verify samples; a sampled torus is in lowest terms (DualTorus.den), so at
+M = n*I its table has n entries, not n**2.
 A larger den, passed by a direct call, takes the exp of the same turns.  The
 sum over offsets runs in ``multipliers`` order, which is ascending offset
 order however the operator was built, on the operator's
@@ -64,7 +64,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, pi, sqrt
+from math import pi, sqrt
 from operator import index, mul
 
 import numpy as np
@@ -140,16 +140,18 @@ def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     integer numerators over den, such as a row of ``DualTorus.num``, each
     taken as a Python int (exact for numpy ints; a float is a TypeError).
     The residues <num, j> mod den are Python ints, and their phases are read
-    from den's phase table."""
+    from den's phase table.  A den below 1 is symbols' ValueError."""
     num = list(map(index, num))
     den = index(den)
     if len(num) != l.dim:
         raise ValueError(f"frequency has dimension {len(num)}, operator has dimension {l.dim}")
+    if not (tabled := 0 < den <= SAMPLE_CAP) and den < 1:
+        raise ValueError(f"denominator {den} is out of range for exact int64 phases")
     offsets, stack = l._stack
     if not offsets:
         return np.zeros(l.shape, dtype=complex)
     residues = [sum(map(mul, off, num)) % den for off in offsets]
-    if 0 < den <= SAMPLE_CAP:
+    if tabled:
         phases = _phase_table(den).take(residues)
     else:
         phases = np.exp(2j * pi * np.array([r / den for r in residues]))
@@ -229,6 +231,8 @@ def pinv_matrix(m: np.ndarray) -> np.ndarray:
     the lru_cache _memo_pinv, keyed on the shape and the bytes of its values
     (so -0.0 and 0.0 differ), and a repeated input gets a copy of it: the same
     bits as a new SVD, which does not depend on the input's memory layout.
+    An input with a non-finite entry fails the closed form's bound and is a
+    ValueError before its SVD, so it is refused on every route and never kept.
     """
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
@@ -275,7 +279,10 @@ def _memo_pinv(shape: tuple[int, ...], data: bytes) -> np.ndarray:
 
 
 def _svd_pinv(m: np.ndarray) -> np.ndarray:
-    """pinv_matrix of a non-empty complex matrix from one SVD."""
+    """pinv_matrix of a non-empty complex matrix from one SVD; an input with
+    a non-finite entry is a ValueError, raised before the SVD."""
+    if not np.isfinite(m).all():
+        raise ValueError("pinv input has a non-finite entry (inf or nan)")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     # Python float comparisons and reciprocals: numpy's bits without its per-call cost
     s = s.tolist()
@@ -303,27 +310,20 @@ BLOCK = 64
 
 def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.ndarray]]:
     """Each block of samples with its (B, n) eigenvalues, every row sorted by
-    (re, im): one walk over the stacked symbols and one eigvals call per block.
-
-    The symbols take every sample over den/g, g the common factor of den and
-    all numerators (n at M = n*I), so the phase table has den/g entries:
-    r/den and (r/g)/(den/g) round the same rational, so the phases and the
-    symbols keep their bits."""
-    g = gcd(samples.den, *np.gcd.reduce(samples.num, axis=0).tolist())
-    den = samples.den // g
+    (re, im): one walk over the stacked symbols and one eigvals call per block."""
     for start in range(0, len(samples), BLOCK):
         rows = slice(start, start + BLOCK)
         block = DualTorus(samples.num[rows], samples.den, samples.k_phys[rows])
-        nums = (block.num // g).tolist()
-        env = {name: np.array([symbol_at(op, num, den) for num in nums]) for name, op in named.items()}
+        nums = block.num.tolist()
+        env = {name: np.array([symbol_at(op, num, block.den) for num in nums]) for name, op in named.items()}
         try:
             value = expr.eval_matrices(env)
         except ValueError as exc:
             # same type, so callers can still tell the expression's own errors apart
-            k_frac = ", ".join(k_frac_text(nums[0], den))
+            k_frac = ", ".join(k_frac_text(nums[0], block.den))
             raise type(exc)(f"expression failed at k_frac=({k_frac}): {exc}") from exc
         if value.shape[-2] != value.shape[-1]:
-            k_frac = ", ".join(k_frac_text(nums[0], den))
+            k_frac = ", ".join(k_frac_text(nums[0], block.den))
             raise ValueError(f"expression shape mismatch at k_frac=({k_frac}): result is {value.shape[-2:]}")
         # an expression of identities alone is one matrix for every sample
         value = np.broadcast_to(value, (len(block),) + value.shape[-2:])

@@ -195,6 +195,11 @@ def quotient_listing(rel) -> list[tuple[int, ...]]:
     return [digits[::-1] for digits in product(*(range(h) for h in reversed(diag)))]
 
 
+def inverse_denominator(m) -> int:
+    """The least common multiple of the denominators of the exact M^-1."""
+    return lcm(*(x.denominator for row in _invert(m) for x in row))
+
+
 def per_sample_numerators(m, reps) -> list[tuple[int, ...]]:
     """Dual-torus numerators the per-sample way: with d = |det M| and the
     exact integer matrix d*M^-T, one Python inner product per listed

@@ -26,6 +26,7 @@ from stencilfa.intlat import det_exact, mat_inv
 from oracles import (
     fraction_k_phys,
     intersection_determinant,
+    inverse_denominator,
     k_fracs,
     per_sample_numerators,
     quotient_listing,
@@ -280,22 +281,59 @@ def test_dual_samples_are_the_integer_dual_torus(case):
     n = len(m)
     d = abs(det_exact(m))
     samples = sample_dual_torus(a, m)
+    den = samples.den
     assert len(samples) == d
     rows = [tuple(num) for num in samples.num.tolist()]
     assert len(set(rows)) == d
-    # the canonical listing of Z^n / M^T Z^n, sorted by numerator
+    # den is the lcm of the denominators of M^-1, a divisor of |det M|
+    assert den == inverse_denominator(m) and d % den == 0
+    # the canonical listing of Z^n / M^T Z^n over |det M|, sorted by numerator
     listing = quotient_listing([list(col) for col in zip(*m)])
-    assert rows == sorted(per_sample_numerators(m, listing))
+    assert [tuple(x * (d // den) for x in num) for num in rows] == sorted(per_sample_numerators(m, listing))
     assert samples.num.dtype == np.int64 and samples.num.shape == (d, n)
     assert not samples.num.flags.writeable and not samples.k_phys.flags.writeable
-    assert samples.den == d
     dual = dual_basis(a).basis
     for num, k_phys in zip(rows, samples.k_phys):
-        assert all(0 <= x < d for x in num)
+        assert all(0 <= x < den for x in num)
         # M^T k_frac is integral: M^T num vanishes modulo den
-        assert all(sum(m[r][i] * num[r] for r in range(n)) % d == 0 for i in range(n))
+        assert all(sum(m[r][i] * num[r] for r in range(n)) % den == 0 for i in range(n))
         # bit for bit the per-sample product of the float fractions
-        assert k_phys.tobytes() == fraction_k_phys(dual, num, d).tobytes()
+        assert k_phys.tobytes() == fraction_k_phys(dual, num, den).tobytes()
+
+
+@st.composite
+def nonsingular_resolutions(draw):
+    n = draw(st.integers(1, 3))
+    return draw(small_int_matrices(n, -6, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonsingular_resolutions(), st.integers(0, 2**32 - 1))
+@example([[64, 0], [0, 64]], 0)  # den 64, not 4096
+@example([[6, 0], [0, 10]], 0)  # den 30
+@example([[2, 3], [2, -2]], 0)  # den 10
+@example([[4, 2, 0], [0, 6, 2], [2, 0, 8]], 1)
+def test_dual_samples_are_in_lowest_terms(m, seed):
+    n = len(m)
+    d = abs(det_exact(m))
+    basis = np.random.default_rng(seed).normal(size=(n, n)) + 3 * np.eye(n)
+    a = Lattice(basis)
+    samples = sample_dual_torus(a, m)
+    den = samples.den
+    assert len(samples) == d
+    assert math.gcd(den, *samples.num.ravel().tolist()) == 1
+    assert den == inverse_denominator(m)
+    # the numerators over |det M| the old way: the listing's rows, their
+    # k_phys from one product in listing order, both sorted by numerator
+    listing = quotient_listing([list(col) for col in zip(*m)])
+    old = np.array(per_sample_numerators(m, listing), dtype=np.int64).reshape(d, n)
+    old_k_phys = (old / d) @ dual_basis(a).basis.T
+    order = np.lexsort(old.T[::-1])
+    # read as fractions, the rows are that listing in the same order
+    assert [[Fraction(x, den) for x in row] for row in samples.num.tolist()] == [
+        [Fraction(x, d) for x in row] for row in old[order].tolist()
+    ]
+    assert samples.k_phys.tobytes() == old_k_phys[order].tobytes()
 
 
 @pytest.mark.parametrize("m", [[[3, 2**62], [0, 5]], [[2**62, 2**62 - 1], [1, 1]]])

@@ -110,7 +110,8 @@ def test_symbol_of_dual_sample_uses_only_integer_numerators(monkeypatch):
     monkeypatch.setattr("stencilfa.symbol.Fraction", no_fraction)
     samples = sample_dual_torus(l.lattice, [[4, 0], [0, 4]])
     num = samples.num.tolist()[9]
-    assert (num, samples.den) == ([8, 4], 16)
+    # k_frac = (1/2, 1/4) over the samples' least common denominator 4
+    assert (num, samples.den) == ([2, 1], 4)
     assert np.array_equal(symbol_at(l, num, samples.den), want)
     # the one sample of a trivial torus is an integer row over den 1
     point = sample_dual_torus(l.lattice, [[1, 0], [0, 1]])
@@ -237,6 +238,17 @@ def test_symbols_give_the_symbol_at_bits_row_by_row(seed, dim, shape, offsets, d
         assert _same_bits(symbol_at(l, row, den), want)
         assert _same_bits(mat, want)
         assert _same_bits(mat, fraction_symbol_at(l, row, den))
+
+
+@pytest.mark.parametrize("den", [0, -4, np.int64(-4)])
+def test_both_symbol_routes_refuse_a_denominator_below_one(den):
+    # symbol_at raised ZeroDivisionError at 0 and read num/-4 at -4
+    empty = MultiplicationOperator(SQUARE, POINT, POINT, {})
+    for l in (five_point(), empty):
+        for call in (lambda: symbol_at(l, [1, 2], den), lambda: symbols(l, [[1, 2]], den)):
+            with pytest.raises(ValueError, match=f"denominator {den} is out of range") as raised:
+                call()
+            assert raised.type is ValueError
 
 
 def test_symbols_refuse_a_denominator_past_exact_int64_phases():
@@ -541,18 +553,38 @@ def test_closed_form_runs_no_svd_and_keeps_nothing(cold_memo, monkeypatch):
         [[1, 1], [1, -np.inf]],
     ],
 )
-def test_closed_form_leaves_non_finite_inputs_to_the_svd_route(m):
-    # a NaN entry raises the SVD's LinAlgError; an infinite one gives the
-    # SVD route's result (NaN entries with this LAPACK), as before
-    m = np.array(m, dtype=complex)
-    try:
-        want = where_pinv_matrix(m)
-    except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError):
+def test_closed_form_leaves_non_finite_inputs_to_the_svd_route(cold_memo, monkeypatch, m):
+    # the closed form passes a NaN or infinite entry on, and the SVD route
+    # refuses it before its SVD, with one ValueError and nothing kept
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD run for a non-finite input")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(ValueError, match="non-finite entry") as raised:
+        pinv_matrix(np.array(m, dtype=complex))
+    assert raised.type is ValueError
+    assert _kept(cold_memo) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0), complex(0, np.nan)])
+def test_pinv_refuses_every_non_finite_input_and_keeps_the_memo(cold_memo, n, bad):
+    # 1x1 and 2x2 pass the closed form, 3x3 goes through the memo, 17x17
+    # (289 entries) skips it: every route raises the same error
+    rng = np.random.default_rng(n)
+    good = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    pinv_matrix(good)
+    kept = _kept(cold_memo)
+    for at in {(0, 0), (n - 1, n - 1), (n // 2, 0)}:
+        m = good.copy()
+        m[at] = bad
+        with pytest.raises(ValueError, match="pinv input has a non-finite entry") as raised:
             pinv_matrix(m)
-    else:
-        assert not np.isnan(m).any()
-        assert np.array_equal(pinv_matrix(m), want, equal_nan=True)
+        assert raised.type is ValueError
+        assert _kept(cold_memo) == kept
+    # only the 3x3 was kept, and it is still served
+    assert kept == (n == 3)
+    assert n != 3 or _is_hit(cold_memo, good)
 
 
 def test_entries_past_the_closed_form_bound_take_the_svd_route(cold_memo):
@@ -852,17 +884,16 @@ def test_spectrum_matches_per_sample_walk(name, text, m, count):
 
 
 @pytest.mark.parametrize(
-    "name, m, den, table",
+    "name, m, det, den",
     [
         ("curlcurl", [[8, 0], [0, 8]], 64, 8),
         ("graphene", [[6, 0], [0, 4]], 24, 12),
         ("laplacian-rb", [[2, 3], [2, -2]], 10, 10),
     ],
 )
-def test_spectrum_reads_phases_from_the_table_of_the_reduced_denominator(monkeypatch, name, m, den, table):
-    # the samples keep their den; their symbols come from a table of den/g
-    # entries, g the common factor of den and every numerator (the bits are
-    # those of the full den, see test_spectrum_matches_per_sample_walk)
+def test_spectrum_reads_phases_from_the_table_of_the_reduced_denominator(monkeypatch, name, m, det, den):
+    # the |det M| samples come over their least common denominator, and
+    # their symbols read the phase table of that den and no other
     read = set()
     phase_table = symbol._phase_table
 
@@ -873,8 +904,8 @@ def test_spectrum_reads_phases_from_the_table_of_the_reduced_denominator(monkeyp
     monkeypatch.setattr(symbol, "_phase_table", recording)
     entry = build(name)
     res = compute_spectrum(parse(entry.expression), entry.operators, m)
-    assert res.samples.den == den
-    assert read == {table}
+    assert (len(res.samples), res.samples.den) == (det, den)
+    assert read == {den}
 
 
 def test_records_are_read_only_views_of_the_result_arrays():

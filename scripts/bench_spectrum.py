@@ -6,9 +6,9 @@ and laplacian-rb at 64 (the red-black propagator, in no perfbench workload).
 Every workload runs five times (REPEATS) in this process and the record keeps each
 run's seconds, the best and the median, and the rho of the last run, so a
 speed-up that changes an answer shows in the file.  Every run starts from
-cold caches: the lru_caches of stencilfa.symbol (pinv_matrix's memo and the
-phase table) are cleared before it, so no run inherits the last one's
-results.  Before every run and after the last one, CAL_CHUNKS calibration
+cold caches: the lru_caches of stencilfa.symbol (pinv_matrix's memo) and
+stencilfa.crystal.phase_table are cleared before it, so no run inherits the
+last one's results.  Before every run and after the last one, CAL_CHUNKS calibration
 chunks of perfbench/workload.py (fixed work that calls no stencilfa code) are
 timed in the same process.  Each run's entry of runs_rel is its seconds over
 the median of the chunks timed just before and just after it (cal_runs_s),
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stencilfa import build, compute_spectrum, parse, symbol
+from stencilfa import build, compute_spectrum, crystal, parse, symbol
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workload import Calibration  # noqa: E402
@@ -63,7 +63,7 @@ def bench(name: str, n: int, cal: Calibration) -> dict:
     entry = build(name)
     expr = parse(entry.expression)
     m = n * np.eye(2, dtype=int)
-    caches = [f for f in vars(symbol).values() if hasattr(f, "cache_clear")]
+    caches = {crystal.phase_table, *(f for f in vars(symbol).values() if hasattr(f, "cache_clear"))}
     runs = []
     cal.chunks.clear()
     around = [calibrate(cal)]

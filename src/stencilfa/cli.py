@@ -13,7 +13,8 @@ strings, and a list of ``{offset, matrix}`` multipliers with entries written
 as ``[re, im]`` pairs), plus an optional default ``expr`` and ``resolution``.
 A file loads into the same ``GalleryEntry`` that a gallery example builds.
 Exit codes: 0 success, 1 schema or usage error (an output that cannot be
-written included), 2 incompatible or failing operators, 3 expression error.
+written included), 2 incompatible or failing operators (a numpy overflow in
+``spectrum``'s evaluation included), 3 expression error.
 """
 
 from __future__ import annotations
@@ -411,7 +412,7 @@ def _spectrum_errors():
         raise ExpressionError(str(exc)) from None
     except TorusTooLargeError as exc:
         raise SchemaError(str(exc)) from None
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise IncompatibilityError(str(exc)) from None
 
 
@@ -462,7 +463,8 @@ def cmd_spectrum(args) -> int:
         ast = parse(expr_text)
     except ValueError as exc:
         raise ExpressionError(f"bad expression: {exc}") from None
-    with _spectrum_errors():
+    # a numpy overflow or invalid value is an error, not a warning on stderr
+    with _spectrum_errors(), np.errstate(over="raise", invalid="raise"):
         if args.format == "json":
             # rho_max comes before the records, so the spectrum is computed
             # whole; the text is written record by record

@@ -26,14 +26,17 @@ k_frac order: sample i is row i of ``num`` over ``den``, with the wave vector
 alone.  Sampling refuses a torus of more than ``SAMPLE_CAP`` points before
 it lists anything; the dense oracle has a smaller cap of its own, and both
 raise ``TorusTooLargeError``.
+
+``phase_table(den)`` is the one phase rule that the symbols and the oracle's
+wave basis both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, inf, prod
+from functools import cached_property, lru_cache
+from math import gcd, inf, pi, prod
 
 import numpy as np
 
@@ -55,6 +58,22 @@ from .intlat import (
 #: spectrum is evaluated block by block, so the cap bounds the run time and
 #: the (N, n) sample arrays, not a per-sample object count.
 SAMPLE_CAP = 2**20
+
+
+@lru_cache(maxsize=1)
+def phase_table(den: int) -> np.ndarray:
+    """The read-only phases exp(+2*pi*i * r/den) of the residues r = 0..den-1
+    (a twiddle-factor table), for a den in 1..SAMPLE_CAP, else a ValueError;
+    the table of the most recent den is kept.  Phase r is the quarter turn
+    i**q, q = 4r // den, times the exp of the correctly rounded turn
+    (4r mod den)/den: exactly 1, i, -1 or -i at a multiple of a quarter turn,
+    and the table of den/g is the table of den at the multiples of g, bit for bit."""
+    if not 0 < den <= SAMPLE_CAP:
+        raise ValueError(f"denominator {den} is out of range for exact int64 phases")
+    quarters, rest = np.divmod(4 * np.arange(den), den)
+    table = np.array([1, 1j, -1, -1j])[quarters] * np.exp(0.5j * pi * (rest / den))
+    table.setflags(write=False)
+    return table
 
 
 class TorusTooLargeError(ValueError):

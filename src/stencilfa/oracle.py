@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import pi
 
 import numpy as np
 
@@ -47,13 +46,12 @@ from .crystal import (
     StructureElement,
     TorusTooLargeError,
     integer_resolution,
+    phase_table,
     sample_dual_torus,
 )
 from .operator import MultiplicationOperator, make_compatible
 
 DENSE_CAP = 10**4
-
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 def _torus_quotient(a: Lattice, m) -> QuotientMap:
@@ -193,8 +191,9 @@ def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
     of every torus point x and zero elsewhere; it is normalized with respect
     to the averaged inner product <f, g> = (1/|T|) sum conj(f) g.  Every
     k_frac is K/d for an integer row K of DualTorus.num over d = DualTorus.den,
-    so the phase is taken from the exact residue p = (K.x) mod d: i^(4p // d)
-    times exp(i*pi/2 * (4p mod d)/d), exact at every multiple of a quarter turn.
+    so the phase is entry p = (K.x) mod d of crystal.phase_table(d), the table
+    the symbols read: i^(4p // d) times exp(i*pi/2 * ((4p mod d)/d)), exact at
+    every multiple of a quarter turn.
     """
     qm = _torus_quotient(a, m)
     return list(np.kron(_wave_phases(sample_dual_torus(a, m), qm), np.eye(len(se))))
@@ -203,9 +202,7 @@ def wave_basis(a: Lattice, m, se: StructureElement) -> list[np.ndarray]:
 def _wave_phases(samples: DualTorus, quotient: QuotientMap) -> np.ndarray:
     """(samples, torus points) matrix P of exp(+2*pi*i*<k_frac, x>) over the
     listing of ``quotient``; wave_basis(a, m, se) is the rows of kron(P, I_|se|)."""
-    d = samples.den
-    quarters, rest = np.divmod(4 * (samples.num @ quotient.reps.T % d), d)
-    return _QUARTER_TURNS[quarters] * np.exp(0.5j * pi * rest / d)
+    return phase_table(samples.den).take(samples.num @ quotient.reps.T % samples.den)
 
 
 def wave_gram_residual(samples: DualTorus, quotient: QuotientMap) -> float:

@@ -16,24 +16,20 @@ a turn of exactly 0.5 no matter how the lattice basis is conditioned.
 symbol_at(l, num, den) takes k_frac only as a row of integer numerators over
 den, as a DualTorus holds it, and needs no Fraction arithmetic: the phase of
 offset j is exp(2*pi*i * r/den) at the exact residue r = <num, j> mod den,
-and every phase over one den is read from that den's phase table, the
-read-only exp of all den turns r/den (FFT codes call it a twiddle-factor
-table).  A functools.lru_cache keeps the table of the most recent den: it
-costs O(den) time and 16 bytes per entry once per den, and is built only for
-den <= SAMPLE_CAP (at most 16 MB), which covers every torus a spectrum or
-verify samples; a sampled torus is in lowest terms (DualTorus.den), so at
-M = n*I its table has n entries, not n**2.
-A larger den, passed by a direct call, takes the exp of the same turns.  The
-sum over offsets runs in ``multipliers`` order, which is ascending offset
-order however the operator was built, on the operator's
-cached (n, rows, cols) multiplier stack, as the last row of the sequential
-np.add.accumulate (np.cumsum without its wrapper's cost; np.add.reduce sums
-pairwise along an innermost axis, as on a 1x1 operator, and changes the
-bits).  symbols(l, num, den) gives the same bits for all rows of an (N, dim)
-numerator array from one int64 product (den needs dim * den**2 < 2**63, as
-every den up to SAMPLE_CAP has).  symbol_at keeps its own body: a one-row
-symbols call is slower, and spectra still take one symbol_at call per
-operator and sample, a count the benchmark pins.
+read from crystal.phase_table(den), the package's one phase rule, exact at
+every quarter turn.  That table exists only for den in 1..SAMPLE_CAP, which
+covers every torus a spectrum or verify samples; any other den is a
+ValueError.  A sampled torus is in lowest terms (DualTorus.den), so at
+M = n*I its table has n entries, not n**2.  The sum over offsets runs in
+``multipliers`` order, which is ascending offset order however the operator
+was built, on the operator's cached (n, rows, cols) multiplier stack, as the
+last row of the sequential np.add.accumulate (np.cumsum without its
+wrapper's cost; np.add.reduce sums pairwise along an innermost axis, as on a
+1x1 operator, and changes the bits).  symbols(l, num, den) gives the same
+bits for all rows of an (N, dim) numerator array from one int64 product.
+symbol_at keeps its own body: a one-row symbols call is slower, and spectra
+still take one symbol_at call per operator and sample, a count the
+benchmark pins.
 
 compute_spectrum binds the operators the expression names (Expression.bind),
 rewrites them on their coarsest common sublattice C, samples the dual torus
@@ -64,12 +60,12 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import pi, sqrt
+from math import sqrt
 from operator import index, mul
 
 import numpy as np
 
-from .crystal import SAMPLE_CAP, DualTorus, Lattice, integer_resolution, k_frac_text, sample_dual_torus
+from .crystal import DualTorus, Lattice, integer_resolution, k_frac_text, phase_table, sample_dual_torus
 from .operator import MultiplicationOperator, make_compatible
 
 
@@ -126,35 +122,21 @@ class SpectrumResult:
         return SpectrumRecords(self.samples, self.eigenvalues)
 
 
-@lru_cache(maxsize=1)
-def _phase_table(den: int) -> np.ndarray:
-    """The read-only phases exp(2*pi*i * r/den) of the residues r = 0..den-1,
-    by the formula symbol_at and symbols apply to a den past SAMPLE_CAP."""
-    table = np.exp(2j * pi * (np.arange(den) / den))
-    table.setflags(write=False)
-    return table
-
-
 def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     """The symbol matrix of l at the frequency k_frac = num/den, num a row of
     integer numerators over den, such as a row of ``DualTorus.num``, each
     taken as a Python int (exact for numpy ints; a float is a TypeError).
     The residues <num, j> mod den are Python ints, and their phases are read
-    from den's phase table.  A den below 1 is symbols' ValueError."""
+    from phase_table(den), which refuses a den outside 1..SAMPLE_CAP."""
     num = list(map(index, num))
     den = index(den)
     if len(num) != l.dim:
         raise ValueError(f"frequency has dimension {len(num)}, operator has dimension {l.dim}")
-    if not (tabled := 0 < den <= SAMPLE_CAP) and den < 1:
-        raise ValueError(f"denominator {den} is out of range for exact int64 phases")
+    table = phase_table(den)
     offsets, stack = l._stack
     if not offsets:
         return np.zeros(l.shape, dtype=complex)
-    residues = [sum(map(mul, off, num)) % den for off in offsets]
-    if tabled:
-        phases = _phase_table(den).take(residues)
-    else:
-        phases = np.exp(2j * pi * np.array([r / den for r in residues]))
+    phases = table.take([sum(map(mul, off, num)) % den for off in offsets])
     terms = stack * phases[:, None, None]
     # a strictly sequential running sum adds the terms in the same order as
     # a loop would; + 0.0 turns a leading -0.0 into the +0.0 of a sum from zero
@@ -164,22 +146,21 @@ def symbol_at(l: MultiplicationOperator, num, den: int) -> np.ndarray:
 def symbols(l: MultiplicationOperator, num, den: int) -> np.ndarray:
     """The (N, rows, cols) symbols of l at the rows of the (N, dim) integer
     array num over den, row i bit-identical to symbol_at(l, num[i], den):
-    the (N, n) int64 residues index the same phase table.  A den with
-    dim * den**2 >= 2**63 is a ValueError, a float num a TypeError."""
+    the (N, n) int64 residues index the same phase table.  A den outside
+    1..SAMPLE_CAP is phase_table's ValueError, a float num a TypeError."""
     num = np.asarray(num)
     if num.ndim != 2 or num.shape[1] != l.dim:
         raise ValueError(f"numerators of shape {num.shape}, operator has dimension {l.dim}")
     if num.dtype.kind not in "iu":
         num = np.frompyfunc(index, 1, 1)(num)
-    if (den := index(den)) < 1 or l.dim * den**2 >= 2**63:
-        raise ValueError(f"denominator {den} is out of range for exact int64 phases")
+    den = index(den)
+    table = phase_table(den)
     offsets, stack = l._stack
     if not offsets:
         return np.zeros((len(num),) + l.shape, dtype=complex)
-    # reduced mod den in exact integers, the int64 product cannot wrap
+    # reduced mod den <= SAMPLE_CAP in exact integers, the int64 product cannot wrap
     off = np.array([[o % den for o in row] for row in offsets], dtype=np.int64)
-    residues = (num % den).astype(np.int64) @ off.T % den
-    phases = _phase_table(den).take(residues) if den <= SAMPLE_CAP else np.exp(2j * pi * (residues / den))
+    phases = table.take((num % den).astype(np.int64) @ off.T % den)
     # the (1, n, rows*cols) * (N, n, 1) layout runs the same multiply loop as
     # symbol_at; other layouts can pick a SIMD loop that rounds differently
     terms = stack.reshape(1, len(offsets), -1) * phases[:, :, None]
@@ -318,7 +299,7 @@ def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.nda
         env = {name: np.array([symbol_at(op, num, block.den) for num in nums]) for name, op in named.items()}
         try:
             value = expr.eval_matrices(env)
-        except ValueError as exc:
+        except (ValueError, FloatingPointError) as exc:
             # same type, so callers can still tell the expression's own errors apart
             k_frac = ", ".join(k_frac_text(nums[0], block.den))
             raise type(exc)(f"expression failed at k_frac=({k_frac}): {exc}") from exc

@@ -129,30 +129,36 @@ def _det(m):
 
 def fraction_symbol_at(l, num, den=1) -> np.ndarray:
     """The symbol of l at k_frac = num/den by the plain formula: exact
-    Fraction phases per offset, each reduced mod 1 and exponentiated alone,
-    summed from zero in ``multipliers`` order.  Takes symbol_at's arguments."""
+    Fraction phases per offset, each reduced mod 1 to a turn t, taken as the
+    quarter turn i**q of q = floor(4t) times the exp of the rest 4t - q of
+    a quarter turn, rounded once, and summed from zero in ``multipliers``
+    order.  Takes symbol_at's arguments."""
     k_frac = tuple(Fraction(f) / den for f in num)
     mat = np.zeros(l.shape, dtype=complex)
     for off, m in l.multipliers.items():
         t = sum(f * o for f, o in zip(k_frac, off))
         t = t - floor(t)
-        mat = mat + m * np.exp(2j * pi * float(t))
+        q = floor(4 * t)
+        mat = mat + m * ((1, 1j, -1, -1j)[q] * np.exp(0.5j * pi * float(4 * t - q)))
     return mat
 
 
 def cumsum_symbol_at(l, num, den) -> np.ndarray:
     """The symbol of l at num/den by the np.cumsum formula, the bits
-    symbol_at and symbols keep: exact integer turns (<num, j> mod den) / den,
-    one exp over all offsets, and the stacked terms summed one after another
-    in ``multipliers`` order, + 0.0.  np.add.reduce would not give these
-    bits: on a 1x1 operator it sums the terms pairwise."""
+    symbol_at and symbols keep: exact integer residues r = <num, j> mod den,
+    each a quarter turn i**(4r // den) times the exp of the turn
+    (4r mod den) / den, one exp over all offsets, and the stacked terms
+    summed one after another in ``multipliers`` order, + 0.0.
+    np.add.reduce would not give these bits: on a 1x1 operator it sums the
+    terms pairwise."""
     num, den = [index(x) for x in num], index(den)
     offsets = list(l.multipliers)
     if not offsets:
         return np.zeros(l.shape, dtype=complex)
     stack = np.array([l.multipliers[off] for off in offsets], dtype=complex)
-    turns = np.array([sum(o * x for o, x in zip(off, num)) % den / den for off in offsets])
-    return np.cumsum(stack * np.exp(2j * pi * turns)[:, None, None], axis=0)[-1] + 0.0
+    quarters, rest = np.divmod([4 * (sum(o * x for o, x in zip(off, num)) % den) for off in offsets], den)
+    phases = np.array([1, 1j, -1, -1j])[quarters] * np.exp(0.5j * pi * (rest / den))
+    return np.cumsum(stack * phases[:, None, None], axis=0)[-1] + 0.0
 
 
 def symbol_at_rationals(l, k) -> np.ndarray:

@@ -442,38 +442,69 @@ def test_spectrum_above_the_sample_cap_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_numeric_overflow_is_one_error_line(tmp_path, capsys, fmt):
+    # every multiplier of curlcurl scaled by 1e200: S_E*S_E overflows in its
+    # matmul, which is one error line naming the sample, not numpy's warnings
+    path = tmp_path / "ops.json"
+    run(capsys, "describe", "--example", "curlcurl", "--format", "json", "--output", str(path))
+    raw = json.loads(path.read_text())
+    for op in raw["operators"].values():
+        for m in op["multipliers"]:
+            m["matrix"] = [[[1e200 * x for x in z] for z in row] for row in m["matrix"]]
+    path.write_text(json.dumps(raw))
+    out_path = tmp_path / "out.txt"
+    code, out, err = run(
+        capsys, "spectrum", "--input", str(path), "--expr", "I - pinv(S_E*S_E)*K",
+        "--resolution", "4", "--format", fmt, "--output", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: expression failed at k_frac=(")
+    assert "overflow" in err
+    assert not out_path.exists()
+
+
+def _traced_peaks(tmp_path, *flags) -> list[int]:
+    """tracemalloc peaks of curlcurl spectrum runs at res 32 and 64 (1,024
+    and 4,096 samples) after a warm-up run at res 2."""
+    path = tmp_path / "curlcurl.out"
+    main(["spectrum", "--example", "curlcurl", "--resolution", "2", *flags, "--output", str(path)])
+    peaks = []
+    for res in ("32", "64"):
+        tracemalloc.start()
+        try:
+            code = main(["spectrum", "--example", "curlcurl", "--resolution", res, *flags, "--output", str(path)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    return peaks
+
+
+# The peak may grow by the kept sample arrays alone: at most 2e6 B over
+# 16,384 samples, about 122 B per sample (measured: 36 B for the CSV, 70 B
+# for the JSON, whose eigenvalue array is held whole).  A list of CSV lines
+# or a dict per JSON record costs several hundred bytes per sample.
+_GROWTH_PER_SAMPLE = 2e6 / 16_384
+
+
 def test_spectrum_memory_does_not_grow_with_the_sample_count(tmp_path, capsys):
-    # 16,384 samples and 32,768 CSV rows: the sample arrays (0.5 MB) and one
-    # block of rows are held, never a record or a line per sample
-    path = tmp_path / "curlcurl.csv"
-    main(["spectrum", "--example", "curlcurl", "--resolution", "2", "--output", str(path)])
-    tracemalloc.start()
-    try:
-        code = main(["spectrum", "--example", "curlcurl", "--resolution", "128", "--output", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
+    # the sample arrays and one block of rows are held, never a record or a
+    # line per sample
+    small, large = _traced_peaks(tmp_path)
     assert capsys.readouterr().out.splitlines()[-1].startswith("rho_max = ")
-    assert peak < 2e6
+    assert (large - small) / (4096 - 1024) <= _GROWTH_PER_SAMPLE
+    assert large < 2e6
 
 
 def test_json_memory_does_not_grow_with_the_sample_count(tmp_path, capsys):
-    # 16,384 records: the eigenvalue and sample arrays are held whole, the
-    # text one record at a time, never a dict or a string per sample
-    path = tmp_path / "curlcurl.json"
-    main(["spectrum", "--example", "curlcurl", "--resolution", "2", "--format", "json",
-          "--output", str(path)])
-    tracemalloc.start()
-    try:
-        code = main(["spectrum", "--example", "curlcurl", "--resolution", "128",
-                     "--format", "json", "--output", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
+    # the eigenvalue and sample arrays are held whole, the text one record
+    # at a time, never a dict or a string per sample
+    small, large = _traced_peaks(tmp_path, "--format", "json")
     assert capsys.readouterr().out.splitlines()[-1].startswith("rho_max = ")
-    assert peak < 2e6
+    assert (large - small) / (4096 - 1024) <= _GROWTH_PER_SAMPLE
+    assert large < 2e6
 
 
 def json_in_memory(result) -> str:

@@ -18,6 +18,7 @@ from stencilfa.crystal import (
     is_sublattice,
     lattice_equal,
     lcm_lattice,
+    phase_table,
     relation,
     sample_dual_torus,
 )
@@ -201,6 +202,25 @@ def test_sampling_refuses_a_torus_above_the_cap_before_listing(monkeypatch):
         sample_dual_torus(line, [[-(SAMPLE_CAP + 1)]])
     with pytest.raises(TorusTooLargeError, match="too large"):
         sample_dual_torus(Lattice([[1, 0], [0, 1]]), [[2**63 - 1, 0], [0, 1]])
+
+
+def test_phase_table_is_exact_at_quarter_turns_and_in_lowest_terms():
+    for den in range(1, 201):
+        table = phase_table(den)
+        assert table.shape == (den,) and table.dtype == complex
+        for r in range(0, den):
+            if 4 * r % den == 0:
+                # every zero part is +0.0 (the literal -1j has a -0.0 real part)
+                want = (1, 1j, -1, complex(0, -1))[4 * r // den]
+                assert table[r].tobytes() == np.complex128(want).tobytes()
+        # the turn (g*r)/den rounds as r/(den/g): a torus over den/g reads
+        # the same bits as one over den
+        for g in range(2, den + 1):
+            if den % g == 0:
+                coarse = phase_table(den // g)
+                assert table[::g].tobytes() == coarse.tobytes()
+        # the plain exp(2*pi*i * r/den) errs by up to 1.3e-15 near a full turn
+        assert np.abs(table - np.exp(2j * np.pi * np.arange(den) / den)).max() < 2e-15
 
 
 def test_dual_samples_reject_singular_resolution():

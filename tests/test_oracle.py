@@ -21,7 +21,7 @@ from oracles import (
     torus_triples,
 )
 from stencilfa.cli import GRAM_TOL
-from stencilfa.crystal import Lattice, QuotientMap, StructureElement, sample_dual_torus
+from stencilfa.crystal import Lattice, QuotientMap, StructureElement, phase_table, sample_dual_torus
 from stencilfa.expr import parse
 from stencilfa.gallery import build
 from stencilfa.operator import (
@@ -478,7 +478,13 @@ def test_wave_gram_residual_matches_full_basis(spaces, m, monkeypatch):
 
     for a, se in spaces:
         assert abs(gram(a) - _full_gram_residual(a, m, se)) <= 1e-15
-    monkeypatch.setattr("stencilfa.oracle._QUARTER_TURNS", np.array([1, 1j, -1, 1j]))
+    def corrupted(d):
+        # the fourth quarter turn read as i instead of -i
+        table = phase_table(d).copy()
+        table[4 * np.arange(d) >= 3 * d] *= -1
+        return table
+
+    monkeypatch.setattr("stencilfa.oracle.phase_table", corrupted)
     for a, _ in spaces:
         assert gram(a) > GRAM_TOL
 

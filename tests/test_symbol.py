@@ -25,7 +25,7 @@ from oracles import (
 from stencilfa import expr as expr_module
 from stencilfa import symbol
 from stencilfa.cli import load_operator_file
-from stencilfa.crystal import SAMPLE_CAP, Lattice, StructureElement, sample_dual_torus
+from stencilfa.crystal import SAMPLE_CAP, Lattice, QuotientMap, StructureElement, phase_table, sample_dual_torus
 from stencilfa.expr import EvaluationError, parse
 from stencilfa.gallery import build
 from stencilfa.operator import (
@@ -38,7 +38,7 @@ from stencilfa.operator import (
     mul,
     normalize,
 )
-from stencilfa.oracle import assemble_dense, eval_dense
+from stencilfa.oracle import assemble_dense, eval_dense, wave_basis
 from stencilfa.symbol import (
     compute_spectrum,
     eigenvalues,
@@ -159,6 +159,8 @@ def _random_operator(rng, dim, shape, offsets, zero=0):
 
 
 _BIG = 10**30
+# the lcm of three denominators up to 101 stays within SAMPLE_CAP = 2**20
+_DENOMINATOR = 101
 _THIRDS = [Fraction(1, 3), Fraction(2, 3), Fraction(0)]
 
 
@@ -169,7 +171,7 @@ _THIRDS = [Fraction(1, 3), Fraction(2, 3), Fraction(0)]
     dim=st.integers(1, 3),
     shape=st.sampled_from([(1, 1), (2, 2), (2, 3)]),
     offsets=st.lists(st.lists(st.integers(-60, 60), min_size=3, max_size=3), max_size=9),
-    k=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=_BIG), min_size=3, max_size=3),
+    k=st.lists(st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_DENOMINATOR), min_size=3, max_size=3),
     as_sample=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
@@ -178,8 +180,9 @@ def test_symbol_matches_fraction_formula_bit_for_bit(seed, dim, shape, offsets, 
     l = _random_operator(rng, dim, shape, offsets)
     k = k[:dim]
     if as_sample:
-        # a common denominator of k, not always the least one
-        den = lcm(*(f.denominator for f in k)) * int(rng.integers(1, 2**40))
+        # a common denominator of k within SAMPLE_CAP, not always the least one
+        least = lcm(*(f.denominator for f in k))
+        den = least * int(rng.integers(1, SAMPLE_CAP // least + 1))
         k = (tuple(int(f * den) % den for f in k), den)
         got = symbol_at(l, *k)
     else:
@@ -209,7 +212,7 @@ _NEAR_2_61 = st.integers(2**61 - 60, 2**61 + 60) | st.integers(-(2**61) - 60, -(
 # -0.0 multiplier entries, with an all-zero entry that sums to -0.0 before + 0.0
 @example(seed=1, dim=2, shape=(2, 2), offsets=[[0, 0, 0], [1, 0, 0]], den=5, first=[1, 3, 0], n=1, neg_zero=True)
 # both sides of the phase table's bound: the table of SAMPLE_CAP entries, and
-# the exp of the turns one denominator past it
+# one denominator past it, which both routes refuse
 @example(seed=3, dim=2, shape=(2, 3), offsets=[[i, j, 0] for i in (-2, 0, 1) for j in (-1, 0, 3)],
          den=SAMPLE_CAP, first=[SAMPLE_CAP - 1, 2**40 + 5, 0], n=64, neg_zero=False)
 @example(seed=3, dim=2, shape=(2, 3), offsets=[[i, j, 0] for i in (-2, 0, 1) for j in (-1, 0, 3)],
@@ -231,6 +234,11 @@ def test_symbols_give_the_symbol_at_bits_row_by_row(seed, dim, shape, offsets, d
     # numerators outside [0, den) as well as inside
     rest = rng.integers(-3 * den, 3 * den, size=(n - 1, dim)).tolist()
     num = np.array([first[:dim]] + rest, dtype=np.int64)
+    if den > SAMPLE_CAP:
+        for call in (lambda: symbols(l, num, den), lambda: symbol_at(l, num[0], den)):
+            with pytest.raises(ValueError, match=f"denominator {den} is out of range"):
+                call()
+        return
     got = symbols(l, num, den)
     assert got.shape == (n,) + shape
     for row, mat in zip(num.tolist(), got):
@@ -254,14 +262,14 @@ def test_both_symbol_routes_refuse_a_denominator_below_one(den):
 def test_symbols_refuse_a_denominator_past_exact_int64_phases():
     l = build("laplacian-rb").operators["L"]
     num = np.array([[2**31 - 2, 2**31 - 3], [-1, 7]])
-    # dim * den**2 < 2**63 holds for den = 2**31 - 1 in two dimensions
-    got = symbols(l, num, 2**31 - 1)
-    for row, mat in zip(num.tolist(), got):
-        assert _same_bits(mat, symbol_at(l, row, 2**31 - 1))
-    # an int64 den is checked as a Python int: 2 * den**2 would wrap in int64
-    for den in (2**31, 2**40, np.int64(2**40), 0, -3):
-        with pytest.raises(ValueError, match=f"denominator {den} is out of range"):
-            symbols(l, num, den)
+    # a den is checked as a Python int, before any residue is taken, so an
+    # operator without multipliers refuses it too
+    empty = MultiplicationOperator(SQUARE, POINT, POINT, {})
+    for op in (l, empty):
+        for den in (SAMPLE_CAP + 1, 2**31 - 1, 2**40, np.int64(2**40), 0, -3):
+            for call in (lambda: symbols(op, num, den), lambda: symbol_at(op, num[0], den)):
+                with pytest.raises(ValueError, match=f"denominator {den} is out of range"):
+                    call()
     with pytest.raises(ValueError, match=r"numerators of shape \(1, 3\), operator has dimension 2"):
         symbols(l, [[1, 0, 2]], 4)
     with pytest.raises(ValueError, match=r"numerators of shape \(2,\), operator has dimension 2"):
@@ -271,46 +279,48 @@ def test_symbols_refuse_a_denominator_past_exact_int64_phases():
     for row, mat in zip(num.tolist(), symbols(far, num, np.int64(12))):
         assert _same_bits(mat, symbol_at(far, row, 12))
     # an operator without multipliers has the zero symbol at every row
-    empty = MultiplicationOperator(SQUARE, POINT, POINT, {})
     assert _same_bits(symbols(empty, num, 5), np.zeros((2, 1, 1), dtype=complex))
-    # in 3-D: the largest den with 3 * den**2 < 2**63, and the next one
-    den = isqrt((2**63 - 1) // 3)
-    assert 3 * den**2 < 2**63 <= 3 * (den + 1) ** 2
+    # in 3-D at the largest den: the int64 product of residues stays exact
     h = load_operator_file(DIAMOND).operators["H"]
-    num = np.array([[den - 1, den // 3, 1], [-5, 2 * den, den // 7], [0, 0, 0]])
-    for row, mat in zip(num.tolist(), symbols(h, num, den)):
-        assert _same_bits(mat, symbol_at(h, row, den))
-    with pytest.raises(ValueError, match=f"denominator {den + 1} is out of range"):
-        symbols(h, num, den + 1)
+    num = np.array([[SAMPLE_CAP - 1, SAMPLE_CAP // 3, 1], [-5, 2**62, SAMPLE_CAP // 7], [0, 0, 0]])
+    for row, mat in zip(num.tolist(), symbols(h, num, SAMPLE_CAP)):
+        assert _same_bits(mat, symbol_at(h, row, SAMPLE_CAP))
+        assert _same_bits(mat, fraction_symbol_at(h, row, SAMPLE_CAP))
 
 
 def test_phase_table_is_read_only_and_shared_by_both_routes():
-    symbol._phase_table.cache_clear()
+    phase_table.cache_clear()
     l = build("laplacian-rb").operators["L"]
     num = [[3, 5], [11, 0]]
     want = symbols(l, num, 12)
-    table = symbol._phase_table(12)
-    assert symbol._phase_table.cache_info().currsize == 1
+    table = phase_table(12)
+    assert phase_table.cache_info().currsize == 1
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0] = 2.0
-    assert _same_bits(table, np.exp(2j * np.pi * (np.arange(12) / 12)))
-    # symbol_at reads the kept table: the same array, the same bits
-    hits = symbol._phase_table.cache_info().hits
+    # symbol_at and the oracle's wave basis read the kept table: the same
+    # array, the same bits
+    hits = phase_table.cache_info().hits
     for row, mat in zip(num, want):
         assert _same_bits(symbol_at(l, row, 12), mat)
-    assert symbol._phase_table.cache_info().hits == hits + 2
-    assert symbol._phase_table(12) is table
+    basis = wave_basis(SQUARE, [[4, 0], [0, 3]], POINT)
+    assert phase_table.cache_info().hits == hits + 3
+    assert phase_table(12) is table
+    # the basis vector of k_frac = (1/4, 1/3) holds that table's entries
+    reps = QuotientMap([[4, 0], [0, 3]]).reps
+    row = sample_dual_torus(SQUARE, [[4, 0], [0, 3]]).num.tolist().index([3, 4])
+    assert _same_bits(basis[row], table[(reps @ [3, 4]) % 12])
     # a den past SAMPLE_CAP builds no table, SAMPLE_CAP itself does
-    symbol_at(l, [1, 2], SAMPLE_CAP + 1)
-    symbols(l, num, SAMPLE_CAP + 1)
-    assert symbol._phase_table.cache_info().currsize == 1
-    assert symbol._phase_table(12) is table
-    misses = symbol._phase_table.cache_info().misses
+    for call in (lambda: symbol_at(l, [1, 2], SAMPLE_CAP + 1), lambda: symbols(l, num, SAMPLE_CAP + 1)):
+        with pytest.raises(ValueError, match=f"denominator {SAMPLE_CAP + 1} is out of range"):
+            call()
+    assert phase_table.cache_info().currsize == 1
+    assert phase_table(12) is table
+    misses = phase_table.cache_info().misses
     symbol_at(l, [1, 2], SAMPLE_CAP)
-    assert symbol._phase_table.cache_info().misses == misses + 1
-    assert symbol._phase_table(SAMPLE_CAP).shape == (SAMPLE_CAP,)
-    symbol._phase_table.cache_clear()
+    assert phase_table.cache_info().misses == misses + 1
+    assert phase_table(SAMPLE_CAP).shape == (SAMPLE_CAP,)
+    phase_table.cache_clear()
 
 
 def test_symbol_at_takes_numpy_integer_numerators_exactly():
@@ -895,13 +905,12 @@ def test_spectrum_reads_phases_from_the_table_of_the_reduced_denominator(monkeyp
     # the |det M| samples come over their least common denominator, and
     # their symbols read the phase table of that den and no other
     read = set()
-    phase_table = symbol._phase_table
 
     def recording(d):
         read.add(d)
         return phase_table(d)
 
-    monkeypatch.setattr(symbol, "_phase_table", recording)
+    monkeypatch.setattr(symbol, "phase_table", recording)
     entry = build(name)
     res = compute_spectrum(parse(entry.expression), entry.operators, m)
     assert (len(res.samples), res.samples.den) == (det, den)
@@ -964,6 +973,15 @@ def test_spectrum_reports_shape_mismatch_with_k():
     )
     with pytest.raises(ValueError, match="k_frac"):
         compute_spectrum(parse("R"), {"R": r}, [[2, 0], [0, 2]])
+
+
+def test_spectrum_names_the_sample_of_a_raised_overflow():
+    # under np.errstate(over="raise"), as the CLI runs it, the overflow of
+    # L*L keeps its type and names the block's first sample
+    big = five_point(h=1e-100)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match=r"^expression failed at k_frac=\(0, 0\): overflow"):
+            compute_spectrum(parse("L*L"), {"L": big}, [[2, 0], [0, 2]])
 
 
 def test_spectrum_unbound_identifier():

@@ -15,7 +15,9 @@ the median of the chunks timed just before and just after it (cal_runs_s),
 and median_rel is the median of those ratios: a load swing inside a record
 is divided out run by run, and records written under different host loads
 compare the code.  BLAS runs on one thread unless the environment sets
-otherwise.
+otherwise.  The script times the stencilfa of the checkout it sits in: it
+puts that checkout's src/ first on the module path and refuses a stencilfa
+imported from anywhere else.
 
     python3 scripts/bench_spectrum.py --tag main
     python3 scripts/bench_spectrum.py --tag ci --size tiny --out-dir /tmp
@@ -38,9 +40,17 @@ from pathlib import Path
 
 import numpy as np
 
-from stencilfa import build, compute_spectrum, crystal, parse, symbol
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+import stencilfa  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+if not Path(stencilfa.__file__).resolve().is_relative_to(SRC):
+    raise SystemExit(f"error: imported stencilfa from {stencilfa.__file__}, not {SRC}")
+
+from stencilfa import build, compute_spectrum, crystal, parse, symbol  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "perfbench"))
 from workload import Calibration  # noqa: E402
 
 REPEATS = 5

@@ -254,11 +254,16 @@ class QuotientMap:
 
 
 def lcm_lattice(a: Lattice, b: Lattice) -> Lattice:
-    """Coarsest common sublattice of two rationally related lattices."""
+    """Coarsest common sublattice of two rationally related lattices: the
+    input itself when one lies in the other, a when both do."""
     try:
         rel = relation(a, b)
     except ValueError:
         raise ValueError("no common sublattice") from None
+    if is_integral(mat_inv(rel)):
+        return a
+    if is_integral(rel):
+        return b
     m, r = scaled_integer(rel)
     res = snf(m)
     n = len(m)

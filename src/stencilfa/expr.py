@@ -31,8 +31,11 @@ pinv calls pinv_matrix once per matrix of the stack, which takes a 1x1 or
 2x2 matrix in closed form and runs an SVD only for a larger matrix it has not
 kept the pseudo-inverse of.
 The operator algebra builds an actual multiplication operator out of the
-calculus in the operator module; pseudo-inverses have no position-space
-counterpart, so eval_position rejects any expression that contains one.
+calculus in the operator module, on the operators Expression.compatible
+gives, as the symbol and dense routes take them: in normal form on their
+common lattice, so eval_position combines operators given on any lattices
+or bases.  Pseudo-inverses have no position-space counterpart, so
+eval_position rejects any expression that contains one.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .operator import (
     add as op_add,
     adjoint as op_adjoint,
     identity_operator,
+    make_compatible,
     mul as op_mul,
     scale as op_scale,
 )
@@ -298,6 +302,13 @@ class Expression:
             raise EvaluationError(f"unbound identifier{'s' * (len(missing) > 1)} {listed}")
         return {name: env[name] for name in names}
 
+    def compatible(self, env) -> dict:
+        """The operators bind(env) gives, by name in sorted order, rewritten
+        by make_compatible on their common lattice in normal form: the one
+        place every evaluator takes its operators from."""
+        bound = self.bind(env)
+        return dict(zip(bound, make_compatible(bound.values())))
+
     def __str__(self) -> str:
         return self.text
 
@@ -502,8 +513,11 @@ def _shaped(value):
 
 
 def eval_position(expr, env) -> MultiplicationOperator:
-    """Evaluate with names bound to operators, staying in position space."""
-    ast = expr.ast if isinstance(expr, Expression) else expr
-    if any(isinstance(node, Pinv) for node in _nodes(ast)):
+    """Evaluate an Expression or a bare AST with names bound to operators,
+    staying in position space, on the operators Expression.compatible gives:
+    the result is in normal form on their common lattice."""
+    if not isinstance(expr, Expression):
+        expr = Expression(expr, render(expr))
+    if any(isinstance(node, Pinv) for node in _nodes(expr.ast)):
         raise ValueError("pseudo-inverse not available in position space")
-    return _shaped(_walk(ast, env, _Operators()))
+    return _shaped(_walk(expr.ast, expr.compatible(env), _Operators()))

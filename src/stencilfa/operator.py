@@ -26,26 +26,21 @@ rely on):
   the matching is deterministic; its work grows with the points and nonzeros.
 * Normal form: structure elements reduced into [0,1)^n by exact rational
   floor and sorted lexicographically (ties keep the original order).
+* add and mul combine only operators whose lattice bases have the same
+  bytes, and refuse any other pair; make_compatible is what puts operators
+  on one basis, and every evaluator takes its operators from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import floor
 from types import MappingProxyType
 
 import numpy as np
 
-from .crystal import (
-    Lattice,
-    QuotientMap,
-    StructureElement,
-    integral_relation,
-    is_sublattice,
-    lattice_equal,
-    lcm_lattice,
-)
+from .crystal import Lattice, QuotientMap, StructureElement, integral_relation, lcm_lattice
 from .intlat import mat_inv, scaled_integer
 
 
@@ -143,8 +138,8 @@ def identity_operator(lattice: Lattice, se) -> MultiplicationOperator:
 
 
 def add(l: MultiplicationOperator, g: MultiplicationOperator) -> MultiplicationOperator:
-    if not lattice_equal(l.lattice, g.lattice):
-        raise ValueError("incompatible operators: lattices differ")
+    if l.lattice.basis.tobytes() != g.lattice.basis.tobytes():
+        raise ValueError("incompatible operators: lattice bases differ")
     if l.domain_se != g.domain_se:
         raise ValueError("incompatible operators: domain structure elements differ")
     if l.codomain_se != g.codomain_se:
@@ -164,8 +159,8 @@ def scale(c: complex, l: MultiplicationOperator) -> MultiplicationOperator:
 
 def mul(l: MultiplicationOperator, g: MultiplicationOperator) -> MultiplicationOperator:
     """Operator composition L*G: offset convolution of the multiplier maps."""
-    if not lattice_equal(l.lattice, g.lattice):
-        raise ValueError("incompatible operators: lattices differ")
+    if l.lattice.basis.tobytes() != g.lattice.basis.tobytes():
+        raise ValueError("incompatible operators: lattice bases differ")
     if l.domain_se != g.codomain_se:
         raise ValueError("incompatible operators: inner structure elements differ")
     out: dict[tuple[int, ...], np.ndarray] = {}
@@ -296,20 +291,14 @@ def lattice_coarsening(l: MultiplicationOperator, coarse: Lattice) -> Multiplica
 def make_compatible(ops) -> list[MultiplicationOperator]:
     """Rewrite all operators on the coarsest common sublattice, normalized.
 
-    An operator whose basis has the common lattice's bytes is only
+    The common lattice is lcm_lattice folded over the operators' lattices in
+    order.  An operator whose basis has the common lattice's bytes is only
     normalized: coarsening it onto its own lattice would change nothing.
     """
     ops = list(ops)
     if not ops:
         return []
-    z = ops[0].lattice
-    for op in ops[1:]:
-        if is_sublattice(op.lattice, z):
-            continue
-        if is_sublattice(z, op.lattice):
-            z = op.lattice
-        else:
-            z = lcm_lattice(z, op.lattice)
+    z = reduce(lcm_lattice, [op.lattice for op in ops])
     key = z.basis.tobytes()
     return [normalize(op if op.lattice.basis.tobytes() == key else lattice_coarsening(op, z)) for op in ops]
 

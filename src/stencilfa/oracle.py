@@ -49,7 +49,7 @@ from .crystal import (
     phase_table,
     sample_dual_torus,
 )
-from .operator import MultiplicationOperator, make_compatible
+from .operator import MultiplicationOperator
 
 DENSE_CAP = 10**4
 
@@ -265,13 +265,11 @@ def translation_residual(matrix: TorusTriples) -> float:
 def eval_dense(expr, env, m) -> np.ndarray:
     """Evaluate an expression on dense torus matrices (independent route).
 
-    Like compute_spectrum, this binds the operators the expression names and
-    rewrites them on their common lattice C; each is assembled on the torus
-    Z = C*M and the expression evaluated on the big matrices, pinv included.
+    Like compute_spectrum, this takes the operators it names on their common
+    lattice C (Expression.compatible); each is assembled on the torus Z = C*M
+    and the expression evaluated on the big matrices, pinv included.
     """
-    bound = expr.bind(env)
-    compatible = make_compatible(list(bound.values()))
-    denses = {name: assemble_dense(op, m).dense() for name, op in zip(bound, compatible)}
+    denses = {name: assemble_dense(op, m).dense() for name, op in expr.compatible(env).items()}
     return expr.eval_matrices(denses)
 
 

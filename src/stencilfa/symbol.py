@@ -31,13 +31,13 @@ symbol_at keeps its own body: a one-row symbols call is slower, and spectra
 still take one symbol_at call per operator and sample, a count the
 benchmark pins.
 
-compute_spectrum binds the operators the expression names (Expression.bind),
-rewrites them on their coarsest common sublattice C, samples the dual torus
-of Z = C*M (in k_frac order, at most SAMPLE_CAP samples), evaluates the
+compute_spectrum takes the operators the expression names on their coarsest
+common sublattice C (Expression.compatible), samples the dual torus of
+Z = C*M (in k_frac order, at most SAMPLE_CAP samples), evaluates the
 expression on the symbol matrices at every sample, and collects
-eigenvalues.  spectrum_blocks yields the same evaluation block by block, so a
-caller such as the CLI's CSV writer can hand each block on before the next is
-computed.  A block is BLOCK = 64 samples: each operator's symbol_at matrices
+eigenvalues, refusing any that is not finite.  spectrum_blocks yields the
+same evaluation block by block, so a caller such as the CLI's CSV writer can
+hand each block on before the next is computed.  A block is BLOCK = 64 samples: each operator's symbol_at matrices
 are stacked to (B, rows, cols), the expression is walked once over the stacks
 (pinv still calls pinv_matrix once per matrix, a count the benchmark pins),
 one eigenvalues call covers the block, and one lexsort orders every row of
@@ -66,7 +66,7 @@ from operator import index, mul
 import numpy as np
 
 from .crystal import DualTorus, Lattice, integer_resolution, k_frac_text, phase_table, sample_dual_torus
-from .operator import MultiplicationOperator, make_compatible
+from .operator import MultiplicationOperator
 
 
 @dataclass(frozen=True)
@@ -289,36 +289,51 @@ def eigenvalues(mtx) -> np.ndarray:
 BLOCK = 64
 
 
+def _block_eigenvalues(expr, named, nums: list, den: int) -> np.ndarray:
+    """The (B, n) eigenvalues, in LAPACK order, of the expression at the
+    samples nums over den: one walk over the stacked symbols and one eigvals
+    call.  Eigenvalues that are not finite are a FloatingPointError, since
+    numpy.linalg ignores np.errstate."""
+    env = {name: np.array([symbol_at(op, num, den) for num in nums]) for name, op in named.items()}
+    value = expr.eval_matrices(env)
+    if value.shape[-2] != value.shape[-1]:
+        raise ValueError(f"shape mismatch: the result {value.shape[-2:]} is not square")
+    # an expression of identities alone is one matrix for every sample
+    eigs = eigenvalues(np.broadcast_to(value, (len(nums),) + value.shape[-2:]))
+    if not np.isfinite(eigs).all():
+        raise FloatingPointError("overflow in the eigen-solve: an eigenvalue is not finite")
+    return eigs
+
+
 def _blocks(expr, named, samples: DualTorus) -> Iterator[tuple[DualTorus, np.ndarray]]:
     """Each block of samples with its (B, n) eigenvalues, every row sorted by
-    (re, im): one walk over the stacked symbols and one eigvals call per block."""
+    (re, im).  A block that fails is run again one sample at a time, and the
+    error of the first sample that fails alone is raised with its k_frac; if
+    none does, the block's error is raised as it was."""
     for start in range(0, len(samples), BLOCK):
         rows = slice(start, start + BLOCK)
         block = DualTorus(samples.num[rows], samples.den, samples.k_phys[rows])
         nums = block.num.tolist()
-        env = {name: np.array([symbol_at(op, num, block.den) for num in nums]) for name, op in named.items()}
         try:
-            value = expr.eval_matrices(env)
-        except (ValueError, FloatingPointError) as exc:
-            # same type, so callers can still tell the expression's own errors apart
-            k_frac = ", ".join(k_frac_text(nums[0], block.den))
-            raise type(exc)(f"expression failed at k_frac=({k_frac}): {exc}") from exc
-        if value.shape[-2] != value.shape[-1]:
-            k_frac = ", ".join(k_frac_text(nums[0], block.den))
-            raise ValueError(f"expression shape mismatch at k_frac=({k_frac}): result is {value.shape[-2:]}")
-        # an expression of identities alone is one matrix for every sample
-        value = np.broadcast_to(value, (len(block),) + value.shape[-2:])
-        eigs = eigenvalues(value)
+            eigs = _block_eigenvalues(expr, named, nums, block.den)
+        except (ValueError, FloatingPointError):
+            for num in nums:
+                try:
+                    _block_eigenvalues(expr, named, [num], block.den)
+                except (ValueError, FloatingPointError) as exc:
+                    # same type, so callers can still tell the expression's own errors apart
+                    k_frac = ", ".join(k_frac_text(num, block.den))
+                    raise type(exc)(f"expression failed at k_frac=({k_frac}): {exc}") from exc
+            raise
         yield block, np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real)), -1)
 
 
 def _sampled(expr, env, m) -> tuple[dict, Lattice, DualTorus]:
     """The operators the expression names, rewritten on their common lattice
-    C, by name, with C and the dual torus of Z = C*m."""
-    bound = expr.bind(env)
-    compatible = make_compatible(list(bound.values()))
-    lattice = compatible[0].lattice
-    return dict(zip(bound, compatible)), lattice, sample_dual_torus(lattice, m)
+    C (Expression.compatible), by name, with C and the dual torus of Z = C*m."""
+    named = expr.compatible(env)
+    lattice = next(iter(named.values())).lattice
+    return named, lattice, sample_dual_torus(lattice, m)
 
 
 def spectrum_blocks(expr, env, m) -> Iterator[tuple[DualTorus, np.ndarray]]:

@@ -420,7 +420,9 @@ def test_failed_spectrum_leaves_no_output_file(tmp_path, capsys, monkeypatch):
     argv = ["spectrum", "--example", "curlcurl", "--resolution", "9", "--output", str(path)]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: Eigenvalues did not converge\n")
-    assert calls == [64, 17]
+    # the failed block runs again one sample at a time; no sample fails
+    # alone, so the block's own error stands, naming no sample
+    assert calls == [64, 17] + [1] * 17
     assert list(tmp_path.iterdir()) == []
     # a file that was there before stays as it was
     path.write_text("earlier table\n")
@@ -457,6 +459,46 @@ def test_numeric_overflow_is_one_error_line(tmp_path, capsys, fmt):
     code, out, err = run(
         capsys, "spectrum", "--input", str(path), "--expr", "I - pinv(S_E*S_E)*K",
         "--resolution", "4", "--format", fmt, "--output", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: expression failed at k_frac=(")
+    assert "overflow" in err
+    assert not out_path.exists()
+
+
+def test_overflow_names_the_sample_that_failed(tmp_path, capsys):
+    # the 5-point Laplacian with weight 1e200: its symbol is 0 at (0, 0), so
+    # L*L first overflows at the block's second sample
+    w = 1e200
+    stencil = {(0, 0): 4 * w, (1, 0): -w, (-1, 0): -w, (0, 1): -w, (0, -1): -w}
+    point = [["0", "0"]]
+    raw = {"dim": 2, "operators": {"L": {
+        "lattice": [[1.0, 0.0], [0.0, 1.0]], "domain_se": point, "codomain_se": point,
+        "multipliers": [{"offset": list(off), "matrix": [[[x, 0.0]]]} for off, x in stencil.items()],
+    }}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "spectrum", "--input", str(path), "--expr", "L*L", "--resolution", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: expression failed at k_frac=(0, 1/2): overflow encountered in matmul\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eigenvalues_that_are_not_finite_are_one_error_line(tmp_path, capsys, fmt):
+    # every multiplier of curlcurl scaled by 4e307: the symbols of K are
+    # finite, its eigenvalues are not, and numpy.linalg ignores np.errstate
+    path = tmp_path / "ops.json"
+    run(capsys, "describe", "--example", "curlcurl", "--format", "json", "--output", str(path))
+    raw = json.loads(path.read_text())
+    for op in raw["operators"].values():
+        for m in op["multipliers"]:
+            m["matrix"] = [[[4e307 * x for x in z] for z in row] for row in m["matrix"]]
+    path.write_text(json.dumps(raw))
+    out_path = tmp_path / "out.txt"
+    code, out, err = run(
+        capsys, "spectrum", "--input", str(path), "--expr", "K", "--resolution", "4",
+        "--format", fmt, "--output", str(out_path),
     )
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1

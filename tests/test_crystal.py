@@ -128,6 +128,10 @@ def test_lcm_with_self_and_refinement():
     b = Lattice([[2, 0], [0, 2]])
     assert lattice_equal(lcm_lattice(a, b), b)
     assert lattice_equal(lcm_lattice(b, a), b)
+    # a nested pair gives the contained input itself; equal lattices the first
+    assert lcm_lattice(a, b) is b and lcm_lattice(b, a) is b
+    sheared = Lattice([[1, 1], [0, 1]])
+    assert lcm_lattice(a, sheared) is a and lcm_lattice(sheared, a) is sheared
 
 
 def test_lcm_unrelated_raises():

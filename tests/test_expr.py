@@ -26,7 +26,9 @@ from stencilfa.expr import (
     parse,
     render,
 )
-from stencilfa.operator import MultiplicationOperator, adjoint, mul
+from stencilfa.operator import MultiplicationOperator, add, adjoint, lattice_coarsening, mul
+from stencilfa.oracle import spectrum_distance
+from stencilfa.symbol import compute_spectrum
 
 # fifty expressions that must survive parse -> render -> parse unchanged
 ROUND_TRIP_CORPUS = [
@@ -404,6 +406,29 @@ def test_position_unbound():
     l, _ = _operators()
     with pytest.raises(ValueError, match="unbound"):
         eval_position(parse("L + Q"), {"L": l})
+
+
+def _sheared_pair():
+    """The 5-point L as A and its copy B on the sheared basis A*[[1, 1], [0, 1]],
+    which spans the same lattice: B's offsets are in other coordinates."""
+    a, _ = _operators()
+    return a, lattice_coarsening(a, Lattice(a.lattice.basis @ [[1, 1], [0, 1]]))
+
+
+@pytest.mark.parametrize("text", ["A + B", "A*B"])
+def test_position_route_reads_two_bases_of_one_lattice(text):
+    a, b = _sheared_pair()
+    expr, env, m = parse(text), {"A": a, "B": b}, [[4, 0], [0, 4]]
+    got = compute_spectrum(parse("X"), {"X": eval_position(expr, env)}, m)
+    want = compute_spectrum(expr, env, m)
+    assert max(map(spectrum_distance, got.eigenvalues, want.eigenvalues)) <= 1e-13
+
+
+def test_add_and_mul_refuse_two_bases_of_one_lattice():
+    a, b = _sheared_pair()
+    for combine in (add, mul):
+        with pytest.raises(ValueError, match="^incompatible operators: lattice bases differ$"):
+            combine(a, b)
 
 
 # ------------------------------------------------- symbol/position agreement

@@ -37,6 +37,7 @@ from stencilfa.operator import (
     make_compatible,
     mul,
     normalize,
+    scale,
 )
 from stencilfa.oracle import assemble_dense, eval_dense, wave_basis
 from stencilfa.symbol import (
@@ -977,11 +978,20 @@ def test_spectrum_reports_shape_mismatch_with_k():
 
 def test_spectrum_names_the_sample_of_a_raised_overflow():
     # under np.errstate(over="raise"), as the CLI runs it, the overflow of
-    # L*L keeps its type and names the block's first sample
+    # L*L keeps its type and names the first sample where it happens: at
+    # (0, 0) the symbol of the 5-point Laplacian is 0, and so is L_k @ L_k
     big = five_point(h=1e-100)
     with np.errstate(over="raise", invalid="raise"):
-        with pytest.raises(FloatingPointError, match=r"^expression failed at k_frac=\(0, 0\): overflow"):
+        with pytest.raises(FloatingPointError, match=r"^expression failed at k_frac=\(0, 1/2\): overflow"):
             compute_spectrum(parse("L*L"), {"L": big}, [[2, 0], [0, 2]])
+
+
+def test_spectrum_refuses_eigenvalues_that_are_not_finite():
+    # curlcurl's K times 4e307 has finite symbols, but their eigen-solve
+    # overflows, and numpy.linalg does not heed np.errstate
+    big = scale(4e307, build("curlcurl").operators["K"])
+    with pytest.raises(FloatingPointError, match=r"^expression failed at k_frac=\(1/4, 1/2\): overflow"):
+        compute_spectrum(parse("K"), {"K": big}, [[4, 0], [0, 4]])
 
 
 def test_spectrum_unbound_identifier():
